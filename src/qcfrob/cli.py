@@ -28,8 +28,8 @@ from .coeff import ExactDivisionError
 from .frobsplit import (TheoremSession, check_split_axioms,
                         random_torus_element, reduction_commutes,
                         require_valid_order)
-from .qtorus import NonExactDivision, PrimeField, SkewForm
-from .rootdatum import CartanData, cartan_preset, is_reduced
+from .qtorus import NonExactDivision, PrimeField, SkewForm, is_prime
+from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, check_frobenius_on_minor, check_minor_power,
                   commutation_matrix)
 
@@ -52,10 +52,6 @@ class CampaignError(ValueError):
     """Config rejected; message carries the offending field."""
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
@@ -64,10 +60,6 @@ def _jsonable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return repr(obj)
-
-
-def exchangeable_positions(word) -> tuple:
-    return tuple(t for t in range(len(word)) if word[t] in word[t + 1:])
 
 
 def enumerate_mutation_sequences(positions, depth: int, *, prune=True):
@@ -140,22 +132,23 @@ class Campaign:
         if not isinstance(raw_l, list) or not all(isinstance(l, int) for l in raw_l):
             raise CampaignError("l_values: expected a list of integers")
         for l in raw_l:
-            if l % 2 == 0:
-                raise CampaignError(f"l_values: l must be odd, got {l}")
             try:
                 require_valid_order(datum, l)
             except ValueError as exc:
                 raise CampaignError(f"l_values: {exc}") from None
 
-        positions = exchangeable_positions(word)
+        positions, _ = frozen_split(datum, word)
         mut = doc.get("mutations", {"depth": 0})
         if not isinstance(mut, dict):
             raise CampaignError("mutations: expected an object")
         if "sequences" in mut:
+            if not isinstance(mut["sequences"], list):
+                raise CampaignError("mutations: sequences must be a list")
             sequences = []
             for seq in mut["sequences"]:
-                if not all(isinstance(k, int) and 1 <= k <= len(word) for k in seq):
-                    raise CampaignError(f"mutations: bad position in {seq}")
+                if (not isinstance(seq, list) or not all(
+                        isinstance(k, int) and 1 <= k <= len(word) for k in seq)):
+                    raise CampaignError(f"mutations: bad sequence {seq}")
                 zeroed = tuple(k - 1 for k in seq)
                 for k in zeroed:
                     if k not in positions:
@@ -174,9 +167,11 @@ class Campaign:
         if not isinstance(exp, dict):
             raise CampaignError("exponents: expected an object")
         if "vectors" in exp:
+            if not isinstance(exp["vectors"], list):
+                raise CampaignError("exponents: vectors must be a list")
             vectors = []
             for vec in exp["vectors"]:
-                if (len(vec) != len(word)
+                if (not isinstance(vec, list) or len(vec) != len(word)
                         or not all(isinstance(x, int) and x >= 0 for x in vec)):
                     raise CampaignError(f"exponents: bad vector {vec}")
                 vectors.append(tuple(vec))
@@ -190,7 +185,10 @@ class Campaign:
                     f"exponents: box has more than {_VECTOR_CAP} vectors")
             vectors = tuple(itertools.product(range(top + 1), repeat=len(word)))
 
-        checks = tuple(doc.get("checks", list(KNOWN_CHECKS)))
+        checks = doc.get("checks", list(KNOWN_CHECKS))
+        if not isinstance(checks, list):
+            raise CampaignError("checks: expected a list of check names")
+        checks = tuple(checks)
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise CampaignError(f"checks: unknown check {name!r}")
@@ -222,6 +220,12 @@ class Campaign:
 
 # -- check execution -------------------------------------------------------
 
+# Raised by seed building or the theorem checker on a bad commutation form;
+# the batch records them as a FAIL instead of stopping the campaign.
+_ENGINE_ERRORS = (NonExactDivision, ExactDivisionError, NotCompatibleError,
+                  IncompatibleLambdaError)
+
+
 def _record(name, params, outcome, millis):
     rec = {"name": name, "params": _jsonable(params),
            "verdict": "PASS" if outcome.passed else "FAIL",
@@ -233,48 +237,57 @@ def _record(name, params, outcome, millis):
     return rec
 
 
-def _describe_datum(campaign: Campaign):
-    if campaign.label == "custom":
-        return ("custom", campaign.datum.matrix, campaign.datum.sym)
-    return ("preset", campaign.label)
+def _run_task(task) -> list:
+    """Run a task's (name, params, fn, args) checks in order, timing each,
+    and return their records; module-level so a process pool can run tasks
+    in parallel."""
+    records = []
+    for name, params, fn, args in task:
+        t0 = time.perf_counter()
+        outcome = fn(*args)
+        millis = int((time.perf_counter() - t0) * 1000)
+        records.append(_record(name, params, outcome, millis))
+    return records
 
 
-def _datum_from(desc) -> CartanData:
-    if desc[0] == "preset":
-        return cartan_preset(desc[1])
-    return CartanData(desc[1], desc[2])
+def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
+    """The seed after each mutation sequence and each of its prefixes, every
+    one built by one mutation of its prefix's seed.  An engine error stands
+    in for the seed it stopped, and for every seed that extends it."""
+    seeds = {}
+    for seq in sequences:
+        for n in range(len(seq) + 1):
+            key = seq[:n]
+            if key in seeds:
+                continue
+            prev = seeds.get(key[:-1])
+            if isinstance(prev, Exception):
+                seeds[key] = prev
+                continue
+            try:
+                seeds[key] = (mutate_seed(prev, key[-1]) if key
+                              else seed_from_word(datum, word, lam))
+            except _ENGINE_ERRORS as exc:
+                seeds[key] = exc
+    return seeds
 
 
-def _theorem_batch(payload):
-    """One (l, mutation sequence) theorem batch; module-level so a process
-    pool can run batches in parallel.
-
-    TODO: pass pickled seeds instead of replaying the mutation sequence in
-    every worker; needs reduce hooks on TorusElement first.
-    """
-    desc, word, lam, seq, l, vectors = payload
-    t0 = time.perf_counter()
-    params = {"l": l, "mutations": [k + 1 for k in seq], "exponents": len(vectors)}
+def _theorem_batch(seed, l, vectors) -> CheckOutcome:
+    """The theorem at order l for every exponent vector on one seed, or a
+    FAIL carrying the engine error that stands in for the seed."""
+    checked = 0
     try:
-        seed = seed_from_word(_datum_from(desc), word, SkewForm(lam))
-        for pos in seq:
-            seed = mutate_seed(seed, pos)
+        if isinstance(seed, Exception):
+            raise seed
         session = TheoremSession(seed, l)
-        checked = 0
-        out = CheckOutcome("theorem", True, 0)
         for a in vectors:
             step = session.check(a)
             checked += step.checked
             if not step.passed:
-                out = CheckOutcome("theorem", False, checked, step.witness, step.note)
-                break
-        else:
-            out = CheckOutcome("theorem", True, checked)
-    except (NonExactDivision, ExactDivisionError, NotCompatibleError,
-            IncompatibleLambdaError) as exc:
-        out = CheckOutcome("theorem", False, 0, note=f"engine error: {exc}")
-    millis = int((time.perf_counter() - t0) * 1000)
-    return _record("theorem", params, out, millis)
+                return CheckOutcome("theorem", False, checked, step.witness, step.note)
+    except _ENGINE_ERRORS as exc:
+        return CheckOutcome("theorem", False, 0, note=f"engine error: {exc}")
+    return CheckOutcome("theorem", True, checked)
 
 
 def _resolve_lambda(campaign: Campaign):
@@ -306,75 +319,69 @@ def _resolve_lambda(campaign: Campaign):
 
 
 def run(campaign: Campaign, jobs: int = 1) -> dict:
+    checks, datum, word = campaign.checks, campaign.datum, campaign.word
     records = []
-    needs_lambda = bool({"LAMBDA", "THEOREM", "SPLIT_AXIOMS", "REDUCTION"}
-                        & set(campaign.checks))
     lam = source = None
-    if needs_lambda:
+    # Resolved in this process before any task is built: every seed and
+    # every mod-p check needs the form.
+    if {"LAMBDA", "THEOREM", "SPLIT_AXIOMS", "REDUCTION"} & set(checks):
         t0 = time.perf_counter()
         lam, source, lam_outcome = _resolve_lambda(campaign)
         millis = int((time.perf_counter() - t0) * 1000)
         if lam_outcome is not None:
-            records.append(_record("lambda-oracle",
-                                   {"word": [i + 1 for i in campaign.word]},
+            records.append(_record("lambda-oracle", {"word": [i + 1 for i in word]},
                                    lam_outcome, millis))
 
-    if "THEOREM" in campaign.checks:
-        payloads = [(_describe_datum(campaign), campaign.word, lam, seq, l,
-                     campaign.vectors)
-                    for l in campaign.l_values for seq in campaign.sequences]
-        if jobs > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records.extend(pool.map(_theorem_batch, payloads))
-        else:
-            records.extend(_theorem_batch(p) for p in payloads)
+    # One task list in report order.  The check functions are looked up
+    # here, on each call, so wrappers set on this module take effect.
+    tasks = []
+    if "THEOREM" in checks:
+        seeds = _build_seeds(datum, word, SkewForm(lam), campaign.sequences)
+        tasks += [[("theorem", {"l": l, "mutations": [k + 1 for k in seq],
+                                "exponents": len(campaign.vectors)},
+                    _theorem_batch, (seeds[seq], l, campaign.vectors))]
+                  for l in campaign.l_values for seq in campaign.sequences]
 
-    if "BASE_CASE" in campaign.checks:
-        for l in campaign.l_values:
-            for t in range(len(campaign.word)):
-                t0 = time.perf_counter()
-                out = check_frobenius_on_minor(campaign.datum, campaign.word, t, l)
-                millis = int((time.perf_counter() - t0) * 1000)
-                records.append(_record("minor-base-case",
-                                       {"position": t + 1, "l": l}, out, millis))
+    # Every minor check goes into one task, because they all share uqn's
+    # module caches: on a 2-core box the 12 minor checks of A2 at l = 3, 5
+    # cost about 13 s of CPU in one process and 21 s when each runs alone.
+    minors = [(name, {"position": t + 1, "l": l}, fn, (datum, word, t, l))
+              for check, name, fn in (
+                  ("BASE_CASE", "minor-base-case", check_frobenius_on_minor),
+                  ("KKKO", "minor-power", check_minor_power))
+              if check in checks
+              for l in campaign.l_values for t in range(len(word))]
+    if minors:
+        tasks.append(minors)
 
-    if "KKKO" in campaign.checks:
-        for l in campaign.l_values:
-            for t in range(len(campaign.word)):
-                t0 = time.perf_counter()
-                out = check_minor_power(campaign.datum, campaign.word, t, l)
-                millis = int((time.perf_counter() - t0) * 1000)
-                records.append(_record("minor-power",
-                                       {"position": t + 1, "l": l}, out, millis))
-
-    primes = [l for l in campaign.l_values if _is_prime(l)]
-
-    if "SPLIT_AXIOMS" in campaign.checks:
-        for p in primes:
-            rng = random.Random(f"{campaign.rng_seed}:split:{p}")
-            t0 = time.perf_counter()
-            out = check_split_axioms(SkewForm(lam), p, rng, campaign.trials)
-            millis = int((time.perf_counter() - t0) * 1000)
-            records.append(_record("splitting-axioms",
-                                   {"p": p, "trials": campaign.trials}, out, millis))
-
-    if "REDUCTION" in campaign.checks:
+    primes = [l for l in campaign.l_values if is_prime(l)]
+    trials = campaign.trials
+    if "SPLIT_AXIOMS" in checks:
+        tasks += [[("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
+                    (SkewForm(lam), p, random.Random(f"{campaign.rng_seed}:split:{p}"),
+                     trials))]
+                  for p in primes]
+    if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
         block = SkewForm([[lam[i][j] for j in range(prefix)] for i in range(prefix)])
         for p in primes:
             rng = random.Random(f"{campaign.rng_seed}:reduction:{p}")
             ring = PrimeField(p)
             elems = [random_torus_element(rng, ring, block, nterms=5)
-                     for _ in range(campaign.trials)]
-            t0 = time.perf_counter()
-            out = reduction_commutes(campaign.datum, campaign.word, prefix, elems)
-            millis = int((time.perf_counter() - t0) * 1000)
-            records.append(_record("splitting-reduction",
-                                   {"p": p, "prefix": prefix,
-                                    "samples": campaign.trials}, out, millis))
+                     for _ in range(trials)]
+            tasks.append([("splitting-reduction",
+                           {"p": p, "prefix": prefix, "samples": trials},
+                           reduction_commutes, (datum, word, prefix, elems))])
+
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            done = list(pool.map(_run_task, tasks))
+    else:
+        done = map(_run_task, tasks)
+    records.extend(itertools.chain.from_iterable(done))
 
     meta = {"type": campaign.label,
-            "word": [i + 1 for i in campaign.word],
+            "word": [i + 1 for i in word],
             "lambda": _jsonable(lam),
             "lambda_source": source if lam is not None else "none",
             "orders": list(campaign.l_values),
@@ -423,7 +430,8 @@ def main(argv=None) -> int:
     parser.add_argument("--deterministic", action="store_true",
                         help="zero out timing fields")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for theorem batches")
+                        help="worker processes for every check task; the "
+                        "minor checks form one task, as they share caches")
     parser.add_argument("--out", help="write the report here instead of stdout; "
                         "QCFROB_OUT_DIR prefixes relative paths")
     args = parser.parse_args(argv)
@@ -435,13 +443,10 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             doc = json.load(fh)
         campaign = Campaign.from_dict(doc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    except CampaignError as exc:
+    except (OSError, CampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,6 @@ from .rootdatum import CartanData, frozen_split, is_reduced, NonReducedWordError
 class NotCompatibleError(ValueError):
     """B^T L failed the diagonal shape required of a compatible pair."""
 
-    def __init__(self, row, col, value, expected):
-        self.row, self.col = row, col
-        super().__init__(
-            f"(B^T L)[{row}][{col}] = {value}, expected {expected}")
-
 
 class IncompatibleLambdaError(ValueError):
     """Supplied commutation matrix does not fit the word's exchange matrix."""
@@ -98,10 +93,11 @@ def check_compatible(btilde: ExchangeMatrix, lam: SkewForm) -> tuple:
             val = sum(col[t] * lam.mat[t][i] for t in range(btilde.nrows) if col[t])
             if i == pos:
                 if val <= 0:
-                    raise NotCompatibleError(pos, i, val, "a positive integer")
+                    raise NotCompatibleError(
+                        f"(B^T L)[{pos}][{i}] = {val}, expected a positive integer")
                 d.append(val)
             elif val != 0:
-                raise NotCompatibleError(pos, i, val, 0)
+                raise NotCompatibleError(f"(B^T L)[{pos}][{i}] = {val}, expected 0")
     return tuple(d)
 
 

@@ -254,11 +254,6 @@ def cyclotomic_coeffs(l: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _phi_degree(l: int) -> int:
-    return len(cyclotomic_coeffs(l)) - 1
-
-
 def _reduce_mod_phi(l: int, coeffs: list[int]) -> tuple[int, ...]:
     phi = cyclotomic_coeffs(l)
     deg = len(phi) - 1

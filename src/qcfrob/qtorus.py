@@ -3,13 +3,15 @@
 Elements are finite sums of normalized monomials x^a indexed by integer
 exponent vectors.  The defining relations come from a skew-symmetric
 integer form L: x^a * x^b = v^{L(a,b)} x^{a+b}, where v is a square root
-of q.  Depending on the coefficient ring, v is kept symbolic (Laurent or
-rational coefficients), sent to a root of unity, or sent to 1.
+of q.  Depending on the coefficient ring, v is kept symbolic (Laurent
+coefficients), sent to a root of unity, or sent to 1.
 """
 
 from __future__ import annotations
 
-from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, RatFunc, specialize
+import math
+
+from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 
 
 class NonExactDivision(ArithmeticError):
@@ -27,8 +29,6 @@ class NotCommutationCompatible(ValueError):
 
 class LaurentRing:
     """Integer Laurent polynomials in v."""
-
-    name = "laurent"
 
     def zero(self):
         return IntLaurent.zero()
@@ -62,39 +62,6 @@ class LaurentRing:
         return hash("laurent")
 
 
-class RatRing:
-    """Rational functions in v; a field, so division always succeeds."""
-
-    name = "rational"
-
-    def zero(self):
-        return RatFunc.zero()
-
-    def one(self):
-        return RatFunc.one()
-
-    def from_int(self, n):
-        return RatFunc.from_int(n)
-
-    def v_power(self, e):
-        return RatFunc.v_power(e)
-
-    def is_zero(self, c):
-        return c.is_zero
-
-    def div(self, a, b):
-        return a / b
-
-    def inv_unit(self, c):
-        return c.inv()
-
-    def __eq__(self, other):
-        return type(other) is RatRing
-
-    def __hash__(self):
-        return hash("rational")
-
-
 class CycloRing:
     """Z[eps] for a primitive odd l-th root of unity eps.
 
@@ -102,8 +69,6 @@ class CycloRing:
     EPS the power v^e maps to eps^{e(l+1)/2} using the square root
     eps^{(l+1)/2} of eps.
     """
-
-    name = "cyclo"
 
     def __init__(self, l: int, point: Point):
         if l < 3 or l % 2 == 0:
@@ -215,13 +180,15 @@ class ModInt:
         return f"{self.value}"
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class PrimeField:
     """F_p with v already sent to 1; elements are ModInt wrappers."""
 
-    name = "primefield"
-
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -75,7 +75,7 @@ class CartanData:
     = t_i * a_ij.
     """
 
-    __slots__ = ("matrix", "sym", "n", "_inv", "_cache")
+    __slots__ = ("matrix", "sym", "n", "_inv")
 
     def __init__(self, matrix, symmetrizers):
         mat = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -102,7 +102,6 @@ class CartanData:
         self.sym = sym
         self.n = n
         self._inv = None
-        self._cache = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CartanData):
@@ -127,10 +126,6 @@ class CartanData:
     def root_form(self, i: int, j: int) -> int:
         """(alpha_i, alpha_j) = t_i * a_ij."""
         return self.sym[i] * self.matrix[i][j]
-
-    def coroot(self, i: int, lam: Weight) -> int:
-        """<h_i, lambda>; just the i-th coordinate in this basis."""
-        return lam.coords[i]
 
     def _inverse(self):
         if self._inv is None:

@@ -12,14 +12,14 @@ import random
 import pytest
 import sympy
 
-from qcfrob.cli import enumerate_mutation_sequences, exchangeable_positions
+from qcfrob.cli import enumerate_mutation_sequences
 from qcfrob.cluster import btilde_from_word, check_compatible, mutate_seed
 from qcfrob.coeff import Point, qbinom, specialize
 from qcfrob.frobsplit import (SeedExpander, TheoremSession, check_modp_division,
                               check_split_axioms, fr_star, frp_star,
                               random_torus_element, reduction_commutes)
 from qcfrob.qtorus import CycloRing, PrimeField, SkewForm
-from qcfrob.rootdatum import cartan_preset
+from qcfrob.rootdatum import cartan_preset, frozen_split
 from qcfrob.uqn import check_frobenius_on_minor, check_minor_power, commutation_matrix
 
 from _classical import classical_mutate_matrix, classical_mutate_vars, torus_at_one
@@ -47,13 +47,17 @@ def criterion(label):
     return deco
 
 
-def pruned_sequences(word, depth):
-    return enumerate_mutation_sequences(exchangeable_positions(word), depth)
+def exchangeable(preset, word):
+    return frozen_split(cartan_preset(preset), word)[0]
+
+
+def pruned_sequences(preset, word, depth):
+    return enumerate_mutation_sequences(exchangeable(preset, word), depth)
 
 
 def run_theorem_box(preset, word, depth, top, l):
     total = 0
-    for seq in pruned_sequences(word, depth):
+    for seq in pruned_sequences(preset, word, depth):
         session = TheoremSession(cell_seed(preset, word, seq), l)
         for a in itertools.product(range(top + 1), repeat=len(word)):
             out = session.check(a)
@@ -64,7 +68,7 @@ def run_theorem_box(preset, word, depth, top, l):
 
 @criterion("criterion 1, main identity on the A2 cell, orders 3 and 5")
 def test_criterion_01_theorem_a2():
-    assert pruned_sequences(A2_WORD, 4) == [(), (0,)]
+    assert pruned_sequences("A2", A2_WORD, 4) == [(), (0,)]
     for l in (3, 5):
         checked = run_theorem_box("A2", A2_WORD, 4, l, l)
         assert checked == 2 * 2 * (l + 1) ** 3
@@ -72,14 +76,14 @@ def test_criterion_01_theorem_a2():
 
 @criterion("criterion 2, main identity on the A3 cell, order 3")
 def test_criterion_02_theorem_a3():
-    assert len(pruned_sequences(A3_WORD, 2)) == 10
+    assert len(pruned_sequences("A3", A3_WORD, 2)) == 10
     checked = run_theorem_box("A3", A3_WORD, 2, 3, 3)
     assert checked == 2 * 10 * 4 ** 6
 
 
 @criterion("criterion 3, main identity on the B2 cell, order 3")
 def test_criterion_03_theorem_b2():
-    assert len(pruned_sequences(B2_WORD, 3)) == 7
+    assert len(pruned_sequences("B2", B2_WORD, 3)) == 7
     checked = run_theorem_box("B2", B2_WORD, 3, 3, 3)
     assert checked == 2 * 7 * 4 ** 4
 
@@ -153,7 +157,7 @@ def test_criterion_09_modp_splitting():
     jobs = [("A2", A2_WORD, 4, 3, 3), ("A2", A2_WORD, 4, 5, 5),
             ("A3", A3_WORD, 2, 3, 3), ("B2", B2_WORD, 3, 3, 3)]
     for preset, word, depth, top, p in jobs:
-        for seq in pruned_sequences(word, depth):
+        for seq in pruned_sequences(preset, word, depth):
             expander = SeedExpander(cell_seed(preset, word, seq), PrimeField(p))
             for a in itertools.product(range(top + 1), repeat=len(word)):
                 out = check_modp_division(expander, a)
@@ -174,7 +178,7 @@ def test_criterion_10_mutation_mechanics():
     cells = [(preset, word) for preset, word, _, _ in GRIDS.values()]
     for walk in range(500):
         preset, word = cells[walk % len(cells)]
-        positions = exchangeable_positions(word)
+        positions = exchangeable(preset, word)
         seed = cell_seed(preset, word)
         for _ in range(rng.randint(1, 6)):
             k = rng.choice(positions)
@@ -188,7 +192,7 @@ def test_criterion_10_mutation_mechanics():
     for preset, word, depth, _ in GRIDS.values():
         datum = cartan_preset(preset)
         xs = list(sympy.symbols(f"x0:{len(word)}"))
-        for seq in pruned_sequences(word, depth):
+        for seq in pruned_sequences(preset, word, depth):
             seed = cell_seed(preset, word, seq)
             bt = btilde_from_word(datum, word)
             rows = [list(r) for r in bt.rows]

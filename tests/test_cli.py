@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from qcfrob.cli import (Campaign, CampaignError, emit, enumerate_mutation_sequences,
-                        exchangeable_positions, main, run)
-
-from _seeds import A2_WORD
+from qcfrob import cli
+from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
+                        enumerate_mutation_sequences, main, run)
+from qcfrob.qtorus import NonExactDivision
 
 
 def a2_doc(**overrides):
@@ -32,11 +32,6 @@ def write_config(tmp_path, doc, name="c.json"):
 
 
 # -- parsing ---------------------------------------------------------------
-
-def test_exchangeable_positions():
-    assert exchangeable_positions(A2_WORD) == (0,)
-    assert exchangeable_positions((0, 1, 0, 2, 1, 0)) == (0, 1, 2)
-
 
 def test_enumerate_mutation_sequences():
     assert enumerate_mutation_sequences((0, 1), 2) == [
@@ -68,6 +63,10 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(reduction_prefix=9), "out of range"),
     (a2_doc(trials=0), "trials"),
     ({"cartan": "A2", "word": [1, 2, 1], "lambda": [[0, 1], [-1, 0]]}, "size"),
+    (a2_doc(mutations={"sequences": 5}), "sequences must be a list"),
+    (a2_doc(mutations={"sequences": [1]}), "bad sequence"),
+    (a2_doc(exponents={"vectors": [7]}), "bad vector"),
+    (a2_doc(checks=5), "list of check names"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -167,12 +166,84 @@ def test_main_deterministic_byte_identical(tmp_path, capsys):
 
 
 def test_main_jobs_matches_serial(tmp_path, capsys):
-    path = write_config(tmp_path, a2_doc())
-    assert main(["--config", path, "--format", "json", "--deterministic"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["--config", path, "--format", "json", "--deterministic",
-                 "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
+    # every check kind through the pool, and a wrong form whose engine
+    # error stands in for every prebuilt seed
+    wrong = [[0, 5, 0], [-5, 0, 0], [0, 0, 0]]
+    docs = [(a2_doc(checks=list(KNOWN_CHECKS), trials=5), 0),
+            (a2_doc(checks=list(KNOWN_CHECKS), trials=5, **{"lambda": wrong}), 1)]
+    for doc, status in docs:
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path, "--format", "json", "--deterministic"]) == status
+        serial = capsys.readouterr().out
+        assert main(["--config", path, "--format", "json", "--deterministic",
+                     "--jobs", "2"]) == status
+        assert capsys.readouterr().out == serial
+    names = {rec["name"] for rec in json.loads(serial)["checks"]}
+    assert len(names) == len(KNOWN_CHECKS)
+    assert "engine error" in serial
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_capped_at_task_count(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # two theorem batches, and three minor checks sharing one task
+    c = Campaign.from_dict(a2_doc(checks=["THEOREM", "KKKO"]))
+    report = run(c, jobs=5000)
+    assert RecordingPool.sizes == [3]
+    names = [rec["name"] for rec in report["checks"]]
+    assert names == ["theorem"] * 2 + ["minor-power"] * 3
+    run(Campaign.from_dict(a2_doc(checks=["KKKO"])), jobs=4)
+    assert RecordingPool.sizes == [3]       # a single task runs in process
+
+
+def test_engine_error_stands_in_for_seed(monkeypatch):
+    def failing(seed, pos):
+        raise NonExactDivision("no quotient")
+
+    monkeypatch.setattr(cli, "mutate_seed", failing)
+    c = Campaign.from_dict(a2_doc(checks=["THEOREM"],
+                                  mutations={"sequences": [[1], [], [1, 1]]}))
+    for jobs in (1, 2):
+        notes = [rec.get("note") for rec in run(c, jobs=jobs)["checks"]]
+        assert notes == ["engine error: no quotient", None,
+                         "engine error: no quotient"] * len(c.l_values)
+
+
+@pytest.mark.parametrize("orders", [[3], [3, 5]])
+def test_seeds_built_once_per_sequence(monkeypatch, orders):
+    calls = []
+    mutate = cli.mutate_seed
+
+    def counting(seed, pos):
+        calls.append(pos)
+        return mutate(seed, pos)
+
+    monkeypatch.setattr(cli, "mutate_seed", counting)
+    c = Campaign.from_dict({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1],
+                            "l_values": orders, "mutations": {"depth": 2},
+                            "exponents": {"vectors": [[0, 1, 0, 0, 0, 1]]},
+                            "checks": ["THEOREM"]})
+    report = run(c)
+    assert len(calls) == sum(1 for seq in c.sequences if seq) == 9
+    assert len(report["checks"]) == len(orders) * len(c.sequences)
+    assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
 
 
 def test_main_out_file_and_env_dir(tmp_path, monkeypatch):

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from qcfrob.coeff import CycloInt, IntLaurent, Point, RatFunc
+from qcfrob.coeff import CycloInt, IntLaurent, Point
 from qcfrob.qtorus import (
     CycloRing,
     LaurentRing,
     NonExactDivision,
     NotCommutationCompatible,
     PrimeField,
-    RatRing,
     SkewForm,
     TorusElement,
     exact_right_divide,
@@ -135,20 +134,6 @@ def test_division_failures():
                            one.scale(IntLaurent.from_int(3)))
     with pytest.raises(ZeroDivisionError):
         exact_right_divide(one, TorusElement.zero(LR, form))
-
-
-def test_division_over_rational_field():
-    # over the fraction field, coefficient obstructions disappear
-    rr = RatRing()
-    form = SkewForm([[0, 1], [-1, 0]])
-    one = TorusElement.one(rr, form)
-    g = one.scale(RatFunc.from_int(2))
-    f = one.scale(RatFunc.from_int(3))
-    h = exact_right_divide(g, f)
-    assert h * f == g
-    # but a genuinely non-invertible divisor still fails
-    with pytest.raises(NonExactDivision):
-        exact_right_divide(one, one + TorusElement.monomial(rr, form, (1, 0)))
 
 
 def test_mixed_torus_arithmetic_rejected():
