@@ -12,6 +12,7 @@ or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -60,6 +61,22 @@ def _jsonable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return repr(obj)
+
+
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_keys(field: str, obj: dict, listed: str, enumerated: set) -> None:
+    """obj either lists its items under one key or enumerates them from the
+    others; reject unknown keys and the two forms given together."""
+    for key in obj:
+        if key != listed and key not in enumerated:
+            raise CampaignError(f"{field}: unknown key {key!r}")
+    if listed in obj and len(obj) > 1:
+        raise CampaignError(f"{field}: {listed} and {min(set(obj) - {listed})} "
+                            "cannot be given together")
 
 
 def enumerate_mutation_sequences(positions, depth: int, *, prune=True):
@@ -122,14 +139,14 @@ class Campaign:
 
         raw_word = doc.get("word")
         if (not isinstance(raw_word, list) or not raw_word
-                or not all(isinstance(i, int) and 1 <= i <= datum.n for i in raw_word)):
+                or not all(_is_int(i) and 1 <= i <= datum.n for i in raw_word)):
             raise CampaignError(f"word: expected letters in 1..{datum.n}")
         word = tuple(i - 1 for i in raw_word)
         if not is_reduced(datum, word):
             raise CampaignError("word: word not reduced")
 
         raw_l = doc.get("l_values", [])
-        if not isinstance(raw_l, list) or not all(isinstance(l, int) for l in raw_l):
+        if not isinstance(raw_l, list) or not all(_is_int(l) for l in raw_l):
             raise CampaignError("l_values: expected a list of integers")
         for l in raw_l:
             try:
@@ -141,13 +158,14 @@ class Campaign:
         mut = doc.get("mutations", {"depth": 0})
         if not isinstance(mut, dict):
             raise CampaignError("mutations: expected an object")
+        _check_keys("mutations", mut, "sequences", {"depth", "no_prune"})
         if "sequences" in mut:
             if not isinstance(mut["sequences"], list):
                 raise CampaignError("mutations: sequences must be a list")
             sequences = []
             for seq in mut["sequences"]:
                 if (not isinstance(seq, list) or not all(
-                        isinstance(k, int) and 1 <= k <= len(word) for k in seq)):
+                        _is_int(k) and 1 <= k <= len(word) for k in seq)):
                     raise CampaignError(f"mutations: bad sequence {seq}")
                 zeroed = tuple(k - 1 for k in seq)
                 for k in zeroed:
@@ -158,27 +176,31 @@ class Campaign:
             sequences = tuple(sequences)
         else:
             depth = mut.get("depth", 0)
-            if not isinstance(depth, int) or depth < 0:
+            if not _is_int(depth) or depth < 0:
                 raise CampaignError("mutations: depth must be a nonnegative integer")
+            no_prune = mut.get("no_prune", False)
+            if not isinstance(no_prune, bool):
+                raise CampaignError("mutations: no_prune must be true or false")
             sequences = tuple(enumerate_mutation_sequences(
-                positions, depth, prune=not mut.get("no_prune", False)))
+                positions, depth, prune=not no_prune))
 
         exp = doc.get("exponents", {"max_entry": 0})
         if not isinstance(exp, dict):
             raise CampaignError("exponents: expected an object")
+        _check_keys("exponents", exp, "vectors", {"max_entry"})
         if "vectors" in exp:
             if not isinstance(exp["vectors"], list):
                 raise CampaignError("exponents: vectors must be a list")
             vectors = []
             for vec in exp["vectors"]:
                 if (not isinstance(vec, list) or len(vec) != len(word)
-                        or not all(isinstance(x, int) and x >= 0 for x in vec)):
+                        or not all(_is_int(x) and x >= 0 for x in vec)):
                     raise CampaignError(f"exponents: bad vector {vec}")
                 vectors.append(tuple(vec))
             vectors = tuple(vectors)
         else:
             top = exp.get("max_entry", 0)
-            if not isinstance(top, int) or top < 0:
+            if not _is_int(top) or top < 0:
                 raise CampaignError("exponents: max_entry must be a nonnegative integer")
             if (top + 1) ** len(word) > _VECTOR_CAP:
                 raise CampaignError(
@@ -196,7 +218,9 @@ class Campaign:
         lam_config = doc.get("lambda")
         if lam_config is not None:
             try:
-                lam_config = tuple(tuple(int(x) for x in row) for row in lam_config)
+                lam_config = tuple(tuple(row) for row in lam_config)
+                if not all(_is_int(x) for row in lam_config for x in row):
+                    raise TypeError("entries must be integers")
                 SkewForm(lam_config)
             except (ValueError, TypeError) as exc:
                 raise CampaignError(f"lambda: {exc}") from None
@@ -204,14 +228,14 @@ class Campaign:
                 raise CampaignError("lambda: size does not match the word")
 
         prefix = doc.get("reduction_prefix", max(1, len(word) // 2))
-        if not isinstance(prefix, int) or not 1 <= prefix <= len(word):
+        if not _is_int(prefix) or not 1 <= prefix <= len(word):
             raise CampaignError("reduction_prefix: out of range")
 
         trials = doc.get("trials", 200)
-        if not isinstance(trials, int) or trials < 1:
+        if not _is_int(trials) or trials < 1:
             raise CampaignError("trials: must be a positive integer")
         rng_seed = doc.get("rng_seed", 0)
-        if not isinstance(rng_seed, int):
+        if not _is_int(rng_seed):
             raise CampaignError("rng_seed: must be an integer")
 
         return cls(label, datum, word, tuple(raw_l), sequences, vectors,
@@ -443,6 +467,14 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             doc = json.load(fh)
         campaign = Campaign.from_dict(doc)
+        # Opened before the run, so a bad path costs no campaign.
+        out = contextlib.nullcontext(sys.stdout)
+        if args.out:
+            path = args.out
+            env_dir = os.environ.get("QCFROB_OUT_DIR")
+            if env_dir and not os.path.isabs(path):
+                path = os.path.join(env_dir, path)
+            out = open(path, "w")
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
@@ -450,18 +482,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(campaign, jobs=args.jobs)
-    text = emit(report, args.format, deterministic=args.deterministic)
-
-    if args.out:
-        path = args.out
-        env_dir = os.environ.get("QCFROB_OUT_DIR")
-        if env_dir and not os.path.isabs(path):
-            path = os.path.join(env_dir, path)
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        report = run(campaign, jobs=args.jobs)
+        fh.write(emit(report, args.format, deterministic=args.deterministic))
 
     failed = any(rec["verdict"] == "FAIL" for rec in report["checks"])
     return 1 if failed else 0

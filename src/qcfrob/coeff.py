@@ -139,33 +139,11 @@ class IntLaurent:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero:
             return IntLaurent.zero()
-        shift = self.min_exp() - other.min_exp()
-        num = self.shifted(-self.min_exp())
-        den = other.shifted(-other.min_exp())
-        nd, dd = num.max_exp(), den.max_exp()
-        if nd < dd:
-            raise ExactDivisionError("degree of divisor exceeds dividend")
-        rem = [0] * (nd + 1)
-        for e, c in num.terms.items():
-            rem[e] = c
-        dlist = [0] * (dd + 1)
-        for e, c in den.terms.items():
-            dlist[e] = c
-        lead = dlist[dd]
-        quot: dict[int, int] = {}
-        for pos in range(nd, dd - 1, -1):
-            c = rem[pos]
-            if c == 0:
-                continue
-            if c % lead != 0:
-                raise ExactDivisionError("leading coefficient does not divide")
-            f = c // lead
-            quot[pos - dd] = f
-            for j in range(dd + 1):
-                rem[pos - dd + j] -= f * dlist[j]
-        if any(rem):
-            raise ExactDivisionError("nonzero remainder")
-        return IntLaurent(quot).shifted(shift)
+        lo, dlo = self.min_exp(), other.min_exp()
+        num = [self.terms.get(e, 0) for e in range(lo, self.max_exp() + 1)]
+        den = [other.terms.get(e, 0) for e in range(dlo, other.max_exp() + 1)]
+        quot = _poly_div_exact(num, den)
+        return IntLaurent({e + lo - dlo: c for e, c in enumerate(quot)})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -220,9 +198,12 @@ def qbinom(n: int, k: int, d: int = 1) -> IntLaurent:
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # ordinary-polynomial exact division, used by the cyclotomic recursion
-    num = list(num)
+    """Exact quotient of dense integer polynomials, low to high, each with a
+    nonzero leading coefficient; the messages reach reports."""
     dd = len(den) - 1
+    if len(num) - 1 < dd:
+        raise ExactDivisionError("degree of divisor exceeds dividend")
+    num = list(num)
     lead = den[dd]
     out = [0] * (len(num) - dd)
     for pos in range(len(num) - 1, dd - 1, -1):
@@ -230,13 +211,13 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         if c == 0:
             continue
         if c % lead != 0:
-            raise ExactDivisionError("inexact cyclotomic division")
+            raise ExactDivisionError("leading coefficient does not divide")
         f = c // lead
         out[pos - dd] = f
         for j in range(dd + 1):
             num[pos - dd + j] -= f * den[j]
     if any(num):
-        raise ExactDivisionError("remainder in cyclotomic division")
+        raise ExactDivisionError("nonzero remainder")
     return out
 
 
@@ -296,6 +277,9 @@ class CycloInt:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def _check(self, other: "CycloInt") -> None:
         if self.l != other.l:

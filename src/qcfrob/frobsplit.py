@@ -15,38 +15,28 @@ import math
 
 from .coeff import CycloInt, Point
 from .cluster import cluster_monomial, mutate_seed, seed_from_word
-from .qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusElement
+from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
 from .rootdatum import is_reduced
 from .uqn import CheckOutcome
 
 
 # -- moving expansions between coefficient rings ---------------------------
 
-def spec_torus(f: TorusElement, l: int, point: Point) -> TorusElement:
-    """Specialize integer-Laurent coefficients at v = 1 or v = eps.
+def to_ring(f: TorusElement, ring) -> TorusElement:
+    """Map integer-Laurent coefficients into ring, coefficientwise on the
+    monomial basis; multiplicative because ring.from_laurent is a ring map
+    sending v^m to the ring's v_power(m)."""
+    return TorusElement(ring, f.form, {a: ring.from_laurent(c) for a, c in f.terms.items()})
 
-    Coefficientwise on the monomial basis; multiplicative because the
-    coefficient specialization is a ring map sending v^m to the ring's
-    v_power(m).
-    """
-    ring = CycloRing(l, point)
-    terms = {}
-    for a, c in f.terms.items():
-        s = ring.specialize_coeff(c)
-        if not s.is_zero:
-            terms[a] = s
-    return TorusElement(ring, f.form, terms)
+
+def spec_torus(f: TorusElement, l: int, point: Point) -> TorusElement:
+    """Specialize integer-Laurent coefficients at v = 1 or v = eps."""
+    return to_ring(f, CycloRing(l, point))
 
 
 def reduce_mod_p(f: TorusElement, p: int) -> TorusElement:
     """Send v to 1 and reduce the resulting integer coefficients mod p."""
-    ring = PrimeField(p)
-    terms = {}
-    for a, c in f.terms.items():
-        r = ring.from_int(c.at_one())
-        if r.value:
-            terms[a] = r
-    return TorusElement(ring, f.form, terms)
+    return to_ring(f, PrimeField(p))
 
 
 def _cyclo_ring(f: TorusElement, point: Point) -> CycloRing:
@@ -148,16 +138,6 @@ def reduction_commutes(datum, word, prefix_len: int, elems) -> CheckOutcome:
 
 # -- expanding cluster monomials over a specialized ring -------------------
 
-def _specialized_variable(y: TorusElement, ring):
-    if isinstance(ring, CycloRing):
-        return spec_torus(y, ring.l, ring.point)
-    if isinstance(ring, PrimeField):
-        return reduce_mod_p(y, ring.p)
-    if isinstance(ring, LaurentRing):
-        return y
-    raise ValueError(f"no specialization onto {ring!r}")
-
-
 class SeedExpander:
     """Cluster-monomial expansions of one seed over a fixed coefficient ring.
 
@@ -175,7 +155,7 @@ class SeedExpander:
         self.seed = seed
         self.ring = ring
         self.size = len(seed.variables)
-        self.variables = [_specialized_variable(y, ring) for y in seed.variables]
+        self.variables = [to_ring(y, ring) for y in seed.variables]
         self.ambient = self.variables[0].form
         cols = seed.btilde.cols
         self._block = (max(cols) + 1) if cols else 0
@@ -306,11 +286,8 @@ def random_torus_element(rng, ring, form: SkewForm, *, nterms=3, span=2, coeff_s
     for _ in range(nterms):
         a = tuple(rng.randint(-span, span) for _ in range(form.r))
         if isinstance(ring, CycloRing):
-            c = CycloInt.zero(ring.l)
-            for j in range(ring.l - 1):
-                n = rng.randint(-coeff_span, coeff_span)
-                if n:
-                    c = c + CycloInt.eps_power(ring.l, j) * CycloInt.from_int(ring.l, n)
+            c = CycloInt(ring.l, [rng.randint(-coeff_span, coeff_span)
+                                  for _ in range(ring.l - 1)])
         else:
             c = ring.from_int(rng.randint(-coeff_span, coeff_span))
         if not ring.is_zero(c):

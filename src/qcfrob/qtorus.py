@@ -24,8 +24,9 @@ class NotCommutationCompatible(ValueError):
 
 # -- coefficient ring adapters --------------------------------------------
 #
-# A ring adapter bundles the constants and the image of v so torus code can
-# stay generic.  Elements themselves carry the arithmetic.
+# A ring adapter bundles the constants, the image of v, the canonical form
+# of a term dict and the map from Z[v, v^-1] into the ring, so torus code
+# can stay generic.  Elements themselves carry the arithmetic.
 
 class LaurentRing:
     """Integer Laurent polynomials in v."""
@@ -44,6 +45,12 @@ class LaurentRing:
 
     def is_zero(self, c):
         return c.is_zero
+
+    def canon(self, terms):
+        return {a: c for a, c in terms.items() if c}
+
+    def from_laurent(self, c):
+        return c
 
     def div(self, a, b):
         return a.exact_div(b)
@@ -93,6 +100,12 @@ class CycloRing:
     def is_zero(self, c):
         return c.is_zero
 
+    def canon(self, terms):
+        return {a: c for a, c in terms.items() if c}
+
+    def from_laurent(self, c):
+        return specialize(c, self.l, self.point)
+
     def div(self, a, b):
         raise ExactDivisionError("no exact division over cyclotomic integers")
 
@@ -106,9 +119,6 @@ class CycloRing:
                 return -CycloInt.eps_power(self.l, (self.l - j) % self.l)
         raise ExactDivisionError("not a recognized cyclotomic unit")
 
-    def specialize_coeff(self, c: IntLaurent) -> CycloInt:
-        return specialize(c, self.l, self.point)
-
     def __eq__(self, other):
         return type(other) is CycloRing and (self.l, self.point) == (other.l, other.point)
 
@@ -116,105 +126,44 @@ class CycloRing:
         return hash(("cyclo", self.l, self.point))
 
 
-class ModInt:
-    """Integer mod p whose arithmetic reduces, so coefficient sums inside
-    torus term dicts stay in canonical range."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        self.p = p
-        self.value = value % p
-
-    def _value_of(self, other):
-        if isinstance(other, ModInt):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return ModInt(self.p, self.value + v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(self.p, -self.value)
-
-    def __sub__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return ModInt(self.p, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return ModInt(self.p, v - self.value)
-
-    def __mul__(self, other):
-        v = self._value_of(other)
-        if v is None:
-            return NotImplemented
-        return ModInt(self.p, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, ModInt):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class PrimeField:
-    """F_p with v already sent to 1; elements are ModInt wrappers."""
+    """F_p with v already sent to 1; elements are ints in range(p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def _coerce(self, c) -> ModInt:
-        return c if isinstance(c, ModInt) else ModInt(self.p, c)
-
     def zero(self):
-        return ModInt(self.p, 0)
+        return 0
 
     def one(self):
-        return ModInt(self.p, 1)
+        return 1
 
     def from_int(self, n):
-        return ModInt(self.p, n)
+        return n % self.p
 
     def v_power(self, e):
-        return ModInt(self.p, 1)
+        return 1
 
     def is_zero(self, c):
-        return self._coerce(c).value == 0
+        return c % self.p == 0
+
+    def canon(self, terms):
+        p = self.p
+        return {a: r for a, c in terms.items() if (r := c % p)}
+
+    def from_laurent(self, c):
+        return c.at_one() % self.p
 
     def div(self, a, b):
-        b = self._coerce(b)
-        if b.value == 0:
+        if b % self.p == 0:
             raise ZeroDivisionError("division by zero in prime field")
-        return ModInt(self.p, self._coerce(a).value * pow(b.value, self.p - 2, self.p))
+        return a * pow(b, self.p - 2, self.p) % self.p
 
     def inv_unit(self, c):
         return self.div(1, c)
@@ -284,7 +233,7 @@ class TorusElement:
     def __init__(self, ring, form: SkewForm, terms: dict):
         self.ring = ring
         self.form = form
-        self.terms = {a: c for a, c in terms.items() if not ring.is_zero(c)}
+        self.terms = ring.canon(terms)
 
     @classmethod
     def zero(cls, ring, form):
@@ -323,17 +272,9 @@ class TorusElement:
     def __add__(self, other):
         self._check_peer(other)
         out = dict(self.terms)
-        ring = self.ring
         for a, c in other.terms.items():
-            if a in out:
-                s = out[a] + c
-                if ring.is_zero(s):
-                    del out[a]
-                else:
-                    out[a] = s
-            else:
-                out[a] = c
-        return TorusElement(ring, self.form, out)
+            out[a] = out[a] + c if a in out else c
+        return TorusElement(self.ring, self.form, out)
 
     def __neg__(self):
         return TorusElement(self.ring, self.form, {a: -c for a, c in self.terms.items()})
@@ -349,14 +290,7 @@ class TorusElement:
             for b, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 c = ca * cb * ring.v_power(form(a, b))
-                if key in out:
-                    s = out[key] + c
-                    if ring.is_zero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
+                out[key] = out[key] + c if key in out else c
         return TorusElement(ring, form, out)
 
     def scale(self, coeff):

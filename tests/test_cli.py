@@ -1,6 +1,7 @@
 """Campaign parsing, the batch driver, and report emission."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,12 @@ from qcfrob import cli
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main, run)
 from qcfrob.qtorus import NonExactDivision
+
+# --format json --deterministic reports of the two configs in
+# test_main_jobs_matches_serial, kept byte for byte so a refactor that changes
+# any report fails here; regenerate them only with a change meant to alter
+# reports.
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def a2_doc(**overrides):
@@ -67,6 +74,24 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(mutations={"sequences": [1]}), "bad sequence"),
     (a2_doc(exponents={"vectors": [7]}), "bad vector"),
     (a2_doc(checks=5), "list of check names"),
+    # JSON booleans where integers belong
+    (a2_doc(trials=True), "trials"),
+    (a2_doc(rng_seed=False), "rng_seed"),
+    (a2_doc(mutations={"depth": True}), "depth"),
+    (a2_doc(exponents={"max_entry": True}), "max_entry"),
+    (a2_doc(reduction_prefix=True), "out of range"),
+    (a2_doc(word=[True, 2, 1]), "letters in 1"),
+    (a2_doc(l_values=[3, True]), "list of integers"),
+    (a2_doc(mutations={"sequences": [[True]]}), "bad sequence"),
+    (a2_doc(exponents={"vectors": [[True, 0, 0]]}), "bad vector"),
+    (a2_doc(**{"lambda": [[0, True, 0], [-1, 0, 0], [0, 0, 0]]}), "entries must be integers"),
+    (a2_doc(mutations={"depth": 1, "no_prune": "no"}), "no_prune must be true or false"),
+    # misspelt and conflicting keys in the nested objects
+    (a2_doc(mutations={"dpeth": 3}), "unknown key 'dpeth'"),
+    (a2_doc(exponents={"max_entyr": 2}), "unknown key 'max_entyr'"),
+    (a2_doc(mutations={"sequences": [[1]], "depth": 1}), "sequences and depth"),
+    (a2_doc(mutations={"sequences": [[1]], "no_prune": True}), "sequences and no_prune"),
+    (a2_doc(exponents={"vectors": [[0, 0, 0]], "max_entry": 1}), "vectors and max_entry"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -154,6 +179,22 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
     assert main(["--config", str(broken)]) == 2
     assert main(["--config", str(tmp_path / "absent.json")]) == 2
     assert main(["--config", str(broken), "--jobs", "0"]) == 2
+    for name, doc in (("b.json", a2_doc(trials=True)),
+                      ("k.json", a2_doc(mutations={"dpeth": 3}))):
+        assert main(["--config", write_config(tmp_path, doc, name)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_unwritable_out_exits_two_before_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = write_config(tmp_path, a2_doc())
+    missing = tmp_path / "missing" / "r.json"
+    assert main(["--config", path, "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.parent.exists()
 
 
 def test_main_deterministic_byte_identical(tmp_path, capsys):
@@ -169,12 +210,14 @@ def test_main_jobs_matches_serial(tmp_path, capsys):
     # every check kind through the pool, and a wrong form whose engine
     # error stands in for every prebuilt seed
     wrong = [[0, 5, 0], [-5, 0, 0], [0, 0, 0]]
-    docs = [(a2_doc(checks=list(KNOWN_CHECKS), trials=5), 0),
-            (a2_doc(checks=list(KNOWN_CHECKS), trials=5, **{"lambda": wrong}), 1)]
-    for doc, status in docs:
+    docs = [(a2_doc(checks=list(KNOWN_CHECKS), trials=5), 0, "a2-all-checks.json"),
+            (a2_doc(checks=list(KNOWN_CHECKS), trials=5, **{"lambda": wrong}), 1,
+             "a2-wrong-lambda.json")]
+    for doc, status, golden in docs:
         path = write_config(tmp_path, doc)
         assert main(["--config", path, "--format", "json", "--deterministic"]) == status
         serial = capsys.readouterr().out
+        assert serial == (GOLDEN / golden).read_text()
         assert main(["--config", path, "--format", "json", "--deterministic",
                      "--jobs", "2"]) == status
         assert capsys.readouterr().out == serial

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qcfrob.coeff import CycloInt, IntLaurent, Point
+from qcfrob.frobsplit import random_torus_element, to_ring
 from qcfrob.qtorus import (
     CycloRing,
     LaurentRing,
@@ -175,3 +176,38 @@ def test_power_small_cases():
     assert x ** 3 == x * x * x
     sq = x * x
     assert sq.coeff((1, 1)) == IntLaurent({1: 1, -1: 1})
+
+
+CANON_RINGS = {"laurent": LR, "one3": CycloRing(3, Point.ONE), "eps3": CycloRing(3, Point.EPS),
+               "one5": CycloRing(5, Point.ONE), "eps5": CycloRing(5, Point.EPS),
+               "f3": PrimeField(3), "f5": PrimeField(5)}
+
+
+def assert_canonical(f):
+    ring = f.ring
+    for c in f.terms.values():
+        assert not ring.is_zero(c)
+        if isinstance(ring, PrimeField):
+            assert type(c) is int and 1 <= c < ring.p
+
+
+@pytest.mark.parametrize("name", CANON_RINGS)
+def test_coefficients_canonical_in_every_ring(name):
+    ring = CANON_RINGS[name]
+    rng = random.Random(31)
+    form = rand_skew(rng, 2)
+    for _ in range(25):
+        f, g = (random_torus_element(rng, ring, form) + to_ring(rand_elt(rng, form), ring)
+                for _ in range(2))
+        results = [f + g, f - g, f + f.scale(ring.from_int(-1)), f * g,
+                   f.scale(ring.from_int(2)), f.scale(ring.v_power(3)), f.scale(ring.zero()),
+                   f ** 2, f ** 3]
+        assert not results[2].terms and not results[6].terms
+        # cyclotomic rings have no exact division
+        if g and not isinstance(ring, CycloRing):
+            quot = exact_right_divide(f * g, g)
+            assert quot == f
+            results.append(quot)
+        for h in [f, g] + results:
+            assert_canonical(h)
+
