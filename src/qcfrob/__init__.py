@@ -21,7 +21,7 @@ from .uqn import (CheckOutcome, check_frobenius_on_minor, check_minor_power,
                   commutation_matrix, quantum_minor)
 from .frobsplit import (SeedExpander, TheoremSession, fr_star, frp_star,
                         modp_split, reduce_mod_p, reduction_commutes,
-                        spec_torus, verify_theorem)
+                        spec_torus)
 
 __version__ = "0.1.0"
 
@@ -34,5 +34,4 @@ __all__ = [
     "commutation_matrix", "fr_star", "frp_star", "is_reduced", "modp_split",
     "mutate_seed", "qbinom", "qfactorial", "qint", "quantum_minor",
     "reduce_mod_p", "reduction_commutes", "seed_from_word", "spec_torus",
-    "verify_theorem",
 ]

@@ -130,9 +130,20 @@ class Campaign:
                 raise CampaignError(f"cartan: unknown preset {cartan!r}") from None
         elif isinstance(cartan, dict):
             label = "custom"
+            for key in cartan:
+                if key not in ("matrix", "sym"):
+                    raise CampaignError(f"cartan: unknown key {key!r}")
+            matrix, sym = cartan.get("matrix"), cartan.get("sym")
+            if not isinstance(matrix, list) or not matrix or not all(
+                    isinstance(row, list) and all(_is_int(x) for x in row)
+                    for row in matrix):
+                raise CampaignError(
+                    "cartan: matrix must be a nonempty list of rows of integers")
+            if not isinstance(sym, list) or not all(_is_int(x) for x in sym):
+                raise CampaignError("cartan: sym must be a list of integers")
             try:
-                datum = CartanData(cartan["matrix"], cartan["sym"])
-            except (KeyError, ValueError, TypeError) as exc:
+                datum = CartanData(matrix, sym)
+            except ValueError as exc:
                 raise CampaignError(f"cartan: {exc}") from None
         else:
             raise CampaignError("cartan: preset name or {matrix, sym} required")
@@ -226,6 +237,17 @@ class Campaign:
                 raise CampaignError(f"lambda: {exc}") from None
             if len(lam_config) != len(word):
                 raise CampaignError("lambda: size does not match the word")
+
+        # The minor model pairs weights through the inverse Cartan matrix,
+        # and it computes the form for the seeds when the config gives none.
+        needs_minors = {"LAMBDA", "BASE_CASE", "KKKO"}
+        if lam_config is None:
+            needs_minors |= {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"}
+        if needs_minors & set(checks):
+            try:
+                datum.inverse()
+            except ValueError as exc:
+                raise CampaignError(f"cartan: {exc}") from None
 
         prefix = doc.get("reduction_prefix", max(1, len(word) // 2))
         if not _is_int(prefix) or not 1 <= prefix <= len(word):

@@ -69,14 +69,6 @@ class ExchangeMatrix:
         j = self.slot(pos)
         return tuple(row[j] for row in self.rows)
 
-    def entry(self, i: int, pos: int) -> int:
-        return self.rows[i][self.slot(pos)]
-
-    def principal(self) -> tuple:
-        """Square submatrix on exchangeable rows."""
-        return tuple(tuple(self.rows[p][j] for j in range(len(self.cols)))
-                     for p in self.cols)
-
 
 def check_compatible(btilde: ExchangeMatrix, lam: SkewForm) -> tuple:
     """Verify B^T L = (D | 0) with positive diagonal D; return the diagonal.
@@ -255,6 +247,6 @@ def mutate_seed(seed: QuantumSeed, pos: int) -> QuantumSeed:
                        seed.history + (pos,))
 
 
-def cluster_monomial(seed: QuantumSeed, a, *, check=False) -> TorusElement:
+def cluster_monomial(seed: QuantumSeed, a) -> TorusElement:
     """Normalized monomial in the current cluster, expanded in the initial torus."""
-    return normal_product(seed.variables, seed.lam, a, check=check)
+    return normal_product(seed.variables, seed.lam, a)

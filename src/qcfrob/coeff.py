@@ -107,10 +107,6 @@ class IntLaurent:
     def scale(self, n: int) -> "IntLaurent":
         return IntLaurent({e: n * c for e, c in self.terms.items()})
 
-    def bar(self) -> "IntLaurent":
-        """The involution v -> v^(-1)."""
-        return IntLaurent({-e: c for e, c in self.terms.items()})
-
     def min_exp(self) -> int:
         return min(self.terms)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from .coeff import CycloInt, Point
-from .cluster import cluster_monomial, mutate_seed, seed_from_word
 from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
 from .rootdatum import is_reduced
 from .uqn import CheckOutcome
@@ -249,15 +248,6 @@ class TheoremSession:
             return CheckOutcome(name, False, 2, witness=witness)
 
         return CheckOutcome(name, True, 2)
-
-
-def verify_theorem(datum, word, lam, mutations, a, l: int) -> CheckOutcome:
-    """One-shot wrapper: build the seed for the word, mutate along the given
-    position sequence, and run both branches of the check at exponent a."""
-    seed = seed_from_word(datum, word, lam)
-    for pos in mutations:
-        seed = mutate_seed(seed, pos)
-    return TheoremSession(seed, l).check(a)
 
 
 def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:

@@ -18,10 +18,6 @@ class NonExactDivision(ArithmeticError):
     """Right division had no solution in the torus over this coefficient ring."""
 
 
-class NotCommutationCompatible(ValueError):
-    """A pair of generators failed the required commutation relation."""
-
-
 # -- coefficient ring adapters --------------------------------------------
 #
 # A ring adapter bundles the constants, the image of v, the canonical form
@@ -331,27 +327,16 @@ class TorusElement:
         return " + ".join(bits)
 
 
-def normal_product(variables, cluster_form: SkewForm, a, *, check=False) -> TorusElement:
+def normal_product(variables, cluster_form: SkewForm, a) -> TorusElement:
     """Normalized monomial v^{twist(a)} y_1^{a_1} ... y_r^{a_r}.
 
     The y_i are torus elements commuting by cluster_form (in the given
     order); the result lives wherever the y_i do, typically the initial
-    torus.  With check=True the pairwise commutation y_i y_j =
-    v^{2 l_ij} y_j y_i is verified first.
+    torus.
     """
     a = tuple(int(x) for x in a)
     if len(variables) != cluster_form.r or len(a) != cluster_form.r:
         raise ValueError("variable list, form and exponent sizes disagree")
-    if check:
-        for i in range(len(variables)):
-            for j in range(i + 1, len(variables)):
-                lam = cluster_form.mat[i][j]
-                ring = variables[i].ring
-                lhs = variables[i] * variables[j]
-                rhs = (variables[j] * variables[i]).scale(ring.v_power(2 * lam))
-                if lhs != rhs:
-                    raise NotCommutationCompatible(
-                        f"variables {i} and {j} do not commute by v^{2 * lam}")
     ring = variables[0].ring
     ambient = variables[0].form
     out = TorusElement.one(ring, ambient).scale(ring.v_power(cluster_form.twist(a)))

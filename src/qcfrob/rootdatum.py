@@ -127,7 +127,8 @@ class CartanData:
         """(alpha_i, alpha_j) = t_i * a_ij."""
         return self.sym[i] * self.matrix[i][j]
 
-    def _inverse(self):
+    def inverse(self):
+        """The inverse Cartan matrix over Q; ValueError when it is singular."""
         if self._inv is None:
             n = self.n
             aug = [[Fraction(self.matrix[i][j]) for j in range(n)]
@@ -149,7 +150,7 @@ class CartanData:
 
     def pairing(self, lam: Weight, mu: Weight) -> Fraction:
         """Symmetric form (lambda, mu) normalized by (alpha_i, alpha_i) = 2 t_i."""
-        inv = self._inverse()
+        inv = self.inverse()
         total = Fraction(0)
         for i, a in enumerate(lam.coords):
             if a == 0:
@@ -161,7 +162,7 @@ class CartanData:
 
     def weight_to_root(self, lam: Weight) -> RootVector:
         """Express a root-lattice weight in simple-root coordinates."""
-        inv = self._inverse()
+        inv = self.inverse()
         out = []
         for i in range(self.n):
             c = sum(Fraction(inv[i][j]) * lam.coords[j] for j in range(self.n))
@@ -244,13 +245,6 @@ def is_reduced(datum: CartanData, word) -> bool:
     """True when every beta_k is a positive root."""
     word = _validate_letters(datum, word)
     return all(b.is_positive for b in beta_sequence(datum, word))
-
-
-def lambda_sequence(datum: CartanData, word) -> list[Weight]:
-    """Weights lambda_t = s_{i_1} ... s_{i_t} (varpi_{i_t}) for t = 1..r."""
-    word = _validate_letters(datum, word)
-    return [datum.apply_word(word[: t + 1], datum.fundamental(i))
-            for t, i in enumerate(word)]
 
 
 def frozen_split(datum: CartanData, word) -> tuple[tuple[int, ...], tuple[int, ...]]:

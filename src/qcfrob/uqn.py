@@ -1,18 +1,19 @@
-"""The positive half of a quantized enveloping algebra, built concretely.
+"""The positive half of a quantized enveloping algebra, seen through its
+integrable modules.
 
-Elements live in the free algebra on raising generators over Q(v); the
-algebra itself is the quotient by the radical of a twisted bilinear form,
-and membership in the radical is decidable by pairing against all words
-of the same weight.  Integrable highest-weight modules are realized on
-formal lowering words, quantum minors become weight-homogeneous
-functionals via matrix coefficients at extremal vectors, and divided
-powers carry the two Frobenius-type maps that rescale exponents by the
-root-of-unity order.
+Elements are sums of words in the raising generators over Q(v), never
+reduced modulo the Serre relations.  Integrable highest-weight modules are
+realized on formal lowering words, and every functional here is a matrix
+coefficient of the action on such a module, so it kills the quantum Serre
+relations without any quotient being taken (the tests check this on the
+minors).  Quantum minors are the matrix coefficients at extremal vectors;
+they multiply through the twisted coproduct, and divided powers carry the
+Frobenius-type exponent division by the root-of-unity order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coeff import (
     ExactDivisionError,
@@ -26,9 +27,7 @@ from .coeff import (
 from .rootdatum import CartanData, RootVector, Weight
 
 _SPLIT_CACHE: dict = {}
-_FORM_CACHE: dict = {}
 _EACT_CACHE: dict = {}
-_PAIR_CACHE: dict = {}
 
 
 class NotQCommutingError(ValueError):
@@ -44,59 +43,6 @@ class FreeElt:
 
     def __init__(self, terms: dict):
         self.terms = {w: c for w, c in terms.items() if not c.is_zero}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({(): RatFunc.one()})
-
-    @classmethod
-    def generator(cls, i: int):
-        return cls({(int(i),): RatFunc.one()})
-
-    @classmethod
-    def from_word(cls, word, coeff=None):
-        return cls({tuple(word): RatFunc.one() if coeff is None else coeff})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FreeElt) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, RatFunc.zero()) + c
-        return FreeElt(out)
-
-    def __neg__(self):
-        return FreeElt({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, RatFunc.zero()) + c1 * c2
-        return FreeElt(out)
-
-    def scale(self, coeff: RatFunc):
-        return FreeElt({w: c * coeff for w, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c!r})*e{list(w)}" for w, c in sorted(self.terms.items()))
 
 
 def word_weight(datum: CartanData, word) -> RootVector:
@@ -185,95 +131,6 @@ def tensor_mul(datum: CartanData, a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-# -- the bilinear form and radical membership ------------------------------
-
-def _gen_norm(datum: CartanData, j: int) -> RatFunc:
-    # (e_j, e_j) = 1 / (1 - q_j^2) with q_j = v^{2 t_j}
-    key = (datum, "norm", j)
-    hit = _FORM_CACHE.get(key)
-    if hit is None:
-        den = IntLaurent.one() - IntLaurent.v_power(4 * datum.sym[j])
-        hit = RatFunc.one() / RatFunc.from_laurent(den)
-        _FORM_CACHE[key] = hit
-    return hit
-
-
-def _form_words(datum: CartanData, wx, wy) -> RatFunc:
-    if len(wx) != len(wy):
-        return RatFunc.zero()
-    if not wx:
-        return RatFunc.one()
-    if sorted(wx) != sorted(wy):
-        return RatFunc.zero()
-    key = (datum, wx, wy)
-    hit = _FORM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    j = wy[-1]
-    y0 = wy[:-1]
-    norm = _gen_norm(datum, j)
-    total = RatFunc.zero()
-    for s in range(len(wx)):
-        if wx[s] != j:
-            continue
-        expo = -2 * sum(datum.root_form(j, wx[k]) for k in range(s + 1, len(wx)))
-        sub = _form_words(datum, wx[:s] + wx[s + 1:], y0)
-        if not sub.is_zero:
-            total = total + sub * norm * RatFunc.v_power(expo)
-    _FORM_CACHE[key] = total
-    return total
-
-
-def lusztig_form(datum: CartanData, x: FreeElt, y: FreeElt) -> RatFunc:
-    """Twisted bilinear form with (e_j, e_j) = (1 - q_j^2)^{-1}.
-
-    Words of different weights pair to zero; the recursion peels the last
-    letter of the right argument through the left one.
-    """
-    total = RatFunc.zero()
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            val = _form_words(datum, wx, wy)
-            if not val.is_zero:
-                total = total + cx * cy * val
-    return total
-
-
-def is_zero_elt(datum: CartanData, x: FreeElt) -> bool:
-    """True when x lies in the radical, i.e. vanishes in the quotient algebra."""
-    by_weight: dict = {}
-    for w, c in x.terms.items():
-        by_weight.setdefault(word_weight(datum, w), {})[w] = c
-    for gamma, terms in by_weight.items():
-        comp = FreeElt(terms)
-        for w in words_of_weight(datum, gamma):
-            if not lusztig_form(datum, comp, FreeElt.from_word(w)).is_zero:
-                return False
-    return True
-
-
-def serre_element(datum: CartanData, i: int, j: int) -> FreeElt:
-    """Quantum Serre relation sum_k (-1)^k [1-a_ij choose k]_i e_i^{1-a_ij-k} e_j e_i^k."""
-    if i == j:
-        raise ValueError("Serre relation needs distinct indices")
-    m = 1 - datum.matrix[i][j]
-    ei, ej = FreeElt.generator(i), FreeElt.generator(j)
-    total = FreeElt.zero()
-    from .coeff import qbinom
-    for k in range(m + 1):
-        coeff = RatFunc.from_laurent(qbinom(m, k, datum.sym[i]))
-        if k % 2:
-            coeff = -coeff
-        term = FreeElt.one()
-        for _ in range(m - k):
-            term = term * ei
-        term = term * ej
-        for _ in range(k):
-            term = term * ei
-        total = total + term.scale(coeff)
-    return total
-
-
 # -- integrable modules on lowering words ----------------------------------
 #
 # A vector in V(hw) is a dict {fword: coefficient}; the fword (j_1, ..., j_m)
@@ -326,17 +183,12 @@ def pair_fwords(datum: CartanData, hw: Weight, u, w) -> RatFunc:
         return RatFunc.one()
     if sorted(u) != sorted(w):
         return RatFunc.zero()
-    key = (datum, hw, u, w)
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
     j, rest = u[0], u[1:]
     total = RatFunc.zero()
     for w2, c in e_on_fword(datum, hw, j, w).items():
         sub = pair_fwords(datum, hw, rest, w2)
         if not sub.is_zero:
             total = total + c * sub
-    _PAIR_CACHE[key] = total
     return total
 
 
@@ -613,11 +465,6 @@ def fr_divided(dword, l: int):
             return None
         out.append((i, n // l))
     return tuple(out)
-
-
-def frp_divided(dword, l: int):
-    """Exponent multiplication on divided powers."""
-    return tuple((i, n * l) for i, n in dword)
 
 
 # -- specialization checks -------------------------------------------------

@@ -32,6 +32,16 @@ def a2_doc(**overrides):
     return doc
 
 
+# affine A1~: a valid Cartan matrix whose inverse, and so the minor model,
+# does not exist; a config must then give the form itself
+AFFINE = {"matrix": [[2, -2], [-2, 2]], "sym": [1, 1]}
+AFFINE_LAMBDA = [[0, -2, -2], [2, 0, 0], [2, 0, 0]]
+
+
+def custom(**cartan):
+    return a2_doc(cartan={"matrix": [[2, -1], [-1, 2]], "sym": [1, 1], **cartan})
+
+
 def write_config(tmp_path, doc, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -92,6 +102,23 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(mutations={"sequences": [[1]], "depth": 1}), "sequences and depth"),
     (a2_doc(mutations={"sequences": [[1]], "no_prune": True}), "sequences and no_prune"),
     (a2_doc(exponents={"vectors": [[0, 0, 0]], "max_entry": 1}), "vectors and max_entry"),
+    # custom Cartan data: JSON integers in list rows, no other keys
+    (custom(sym=[True, True]), "sym must be a list of integers"),
+    (custom(sym=[1, 1.5]), "sym must be a list of integers"),
+    (custom(sym=5), "sym must be a list of integers"),
+    (custom(matrix=[[2, -1.0], [-1, 2]]), "matrix must be a nonempty list of rows"),
+    (custom(matrix=[[2, "-1"], [-1, 2]]), "matrix must be a nonempty list of rows"),
+    (custom(matrix=[[2, -1], 5]), "matrix must be a nonempty list of rows"),
+    (custom(matrix=[], sym=[]), "matrix must be a nonempty list of rows"),
+    (custom(extra=1), "unknown key 'extra'"),
+    (a2_doc(cartan={"sym": [1, 1]}), "matrix must be a nonempty list of rows"),
+    # a singular matrix wherever the run needs the minor model
+    (a2_doc(cartan=AFFINE, checks=["LAMBDA"], **{"lambda": AFFINE_LAMBDA}), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["BASE_CASE"]), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["KKKO"]), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["THEOREM"]), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["SPLIT_AXIOMS"]), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["REDUCTION"]), "singular"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -183,6 +210,20 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
                       ("k.json", a2_doc(mutations={"dpeth": 3}))):
         assert main(["--config", write_config(tmp_path, doc, name)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_singular_cartan(tmp_path, capsys):
+    # without a given form the minor model is needed: exit 2, not a traceback
+    path = write_config(tmp_path, a2_doc(cartan=AFFINE, checks=["LAMBDA", "THEOREM"]))
+    assert main(["--config", path]) == 2
+    assert "singular" in capsys.readouterr().err
+    # with one, the torus checks run, and their report is the one generated
+    # before singular matrices were rejected
+    doc = a2_doc(cartan=AFFINE, checks=["THEOREM", "SPLIT_AXIOMS", "REDUCTION"],
+                 trials=5, **{"lambda": AFFINE_LAMBDA})
+    path = write_config(tmp_path, doc)
+    assert main(["--config", path, "--format", "json", "--deterministic"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "affine-a1-theorem.json").read_text()
 
 
 def test_main_unwritable_out_exits_two_before_run(tmp_path, capsys, monkeypatch):

@@ -80,10 +80,11 @@ def test_compatibility_failure_reports_entry():
 def test_exchange_matrix_accessors():
     bt = btilde_from_word(A3, (0, 1, 0, 2, 1, 0))
     assert bt.column(1) == (-1, 0, 1, 1, -1, 0)
-    assert bt.entry(4, 2) == 1
+    assert bt.column(2)[4] == 1
     with pytest.raises(ValueError):
         bt.column(3)  # frozen position
-    assert bt.principal() == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
+    # the square block on the exchangeable rows
+    assert tuple(bt.rows[p] for p in bt.cols) == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
 
 
 def test_mutate_pair_matches_classical_formula():
@@ -153,10 +154,21 @@ def test_mutation_preserves_diagonal():
     assert mutate_seed(seed, 0).d == seed.d
 
 
+def test_mutated_variables_q_commute_by_mutated_form():
+    # y_i y_j = v^{2 lambda_ij} y_j y_i in every seed up to depth 2
+    seed = seed_from_word(A2, (0, 1, 0), A2_LAMBDA)
+    for s in (seed, mutate_seed(seed, 0), mutate_seed(mutate_seed(seed, 0), 0)):
+        ys = s.variables
+        for i in range(len(ys)):
+            for j in range(i + 1, len(ys)):
+                twist = LR.v_power(2 * s.lam.mat[i][j])
+                assert ys[i] * ys[j] == (ys[j] * ys[i]).scale(twist), (s.history, i, j)
+
+
 def test_cluster_monomial_square_after_mutation():
     seed = seed_from_word(A2, (0, 1, 0), A2_LAMBDA)
     s1 = mutate_seed(seed, 0)
-    sq = cluster_monomial(s1, (2, 0, 0), check=True)
+    sq = cluster_monomial(s1, (2, 0, 0))
     assert sq == s1.variables[0] * s1.variables[0]
     assert len(sq.terms) == 3
     assert sq.coeff((-2, 1, 1)) == IntLaurent({2: 1, -2: 1})

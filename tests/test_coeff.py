@@ -47,8 +47,6 @@ def test_laurent_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a - b) + b == a
-        assert (a * b).bar() == a.bar() * b.bar()
-        assert a.bar().bar() == a
 
 
 def test_laurent_pow():

@@ -22,7 +22,6 @@ from qcfrob.frobsplit import (
     reduction_commutes,
     require_valid_order,
     spec_torus,
-    verify_theorem,
 )
 from qcfrob.qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusElement
 from qcfrob.rootdatum import beta_sequence, cartan_preset
@@ -294,6 +293,9 @@ def test_theorem_mutated_cluster():
     assert out.passed
     # the expansions involved are genuinely nonzero
     assert len(session.at_eps.monomial((3, 3, 0)).terms) > 1
+    # exponents spread over every position, at l = 3 and at l = 5
+    assert session.check((2, 1, 1)).passed
+    assert TheoremSession(session.seed, 5).check((1, 2, 0)).passed
 
 
 def test_theorem_check_is_not_vacuous():
@@ -302,14 +304,6 @@ def test_theorem_check_is_not_vacuous():
     assert not pushed.is_zero
     # deliberately compare against the wrong exponent: must differ
     assert pushed != session.at_eps.monomial((3, 3, 3))
-
-
-def test_verify_theorem_wrapper():
-    lam = cell_form("A2", A2_WORD)
-    out = verify_theorem(A2, A2_WORD, lam, (0,), (2, 1, 1), 3)
-    assert out.passed
-    out5 = verify_theorem(A2, A2_WORD, lam, (0,), (1, 2, 0), 5)
-    assert out5.passed
 
 
 def test_theorem_rejects_negative_exponents():

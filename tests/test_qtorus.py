@@ -10,7 +10,6 @@ from qcfrob.qtorus import (
     CycloRing,
     LaurentRing,
     NonExactDivision,
-    NotCommutationCompatible,
     PrimeField,
     SkewForm,
     TorusElement,
@@ -89,16 +88,6 @@ def test_normal_product_reproduces_monomials():
                 for k in range(4)]
         a = tuple(rng.randrange(-3, 4) for _ in range(4))
         assert normal_product(gens, form, a) == TorusElement.monomial(LR, form, a)
-
-
-def test_normal_product_commutation_check():
-    form = SkewForm([[0, 1], [-1, 0]])
-    wrong = SkewForm([[0, 2], [-2, 0]])
-    gens = [TorusElement.monomial(LR, form, (1, 0)),
-            TorusElement.monomial(LR, form, (0, 1))]
-    normal_product(gens, form, (1, 1), check=True)
-    with pytest.raises(NotCommutationCompatible):
-        normal_product(gens, wrong, (1, 1), check=True)
 
 
 def test_right_division_round_trip():

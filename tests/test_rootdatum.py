@@ -12,7 +12,6 @@ from qcfrob.rootdatum import (
     cartan_preset,
     frozen_split,
     is_reduced,
-    lambda_sequence,
 )
 
 A2 = cartan_preset("A2")
@@ -65,27 +64,6 @@ def test_is_reduced():
     assert is_reduced(G2, (0, 1, 0, 1, 0, 1))
     assert not is_reduced(G2, (0, 1, 0, 1, 0, 1, 0))
     assert is_reduced(A3, (0, 1, 0, 2, 1, 0))
-
-
-def test_lambda_sequence_a2():
-    lams = lambda_sequence(A2, (0, 1, 0))
-    assert lams[0] == Weight((-1, 1))
-    assert lams[1] == Weight((-1, 0))  # equals -varpi_0
-    assert lams[2] == Weight((0, -1))
-
-
-def test_lambda_matches_full_word_on_frozen_positions():
-    for datum, word in [
-        (A2, (0, 1, 0)),
-        (A3, (0, 1, 0, 2, 1, 0)),
-        (B2, (0, 1, 0, 1)),
-        (G2, (0, 1, 0, 1, 0, 1)),
-    ]:
-        lams = lambda_sequence(datum, word)
-        _, fz = frozen_split(datum, word)
-        for t in fz:
-            full = datum.apply_word(word, datum.fundamental(word[t]))
-            assert lams[t] == full
 
 
 def test_frozen_split():
