@@ -310,6 +310,18 @@ class CycloInt:
                         out[i + j] += ca * cb
         return CycloInt(self.l, out)
 
+    def mul_eps(self, other: "CycloInt", k: int) -> "CycloInt":
+        """self * other * eps^k by one cyclic convolution (x^l = 1 mod Phi_l)."""
+        self._check(other)
+        l = self.l
+        out = [0] * l
+        for i, ca in enumerate(self.coeffs, k):
+            if ca:
+                for j, cb in enumerate(other.coeffs, i):
+                    if cb:
+                        out[j % l] += ca * cb
+        return CycloInt(l, out)
+
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"

@@ -12,6 +12,7 @@ send cluster monomials to cluster monomials.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 
 from .coeff import CycloInt, Point
 from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
@@ -143,11 +144,11 @@ class SeedExpander:
     Expanding directly over the specialized ring is legitimate because the
     coefficient specialization is a ring map, so it commutes with the
     normal-ordered product defining x^a.  Powers of single variables are
-    cached, and products over the leading block of positions (everything up
-    to the last exchangeable position; for the words used here that block
-    is exactly the exchangeable positions) are memoized by exponent prefix.
-    Variables past the block stay single monomials under mutation, so they
-    fold in at cost proportional to the accumulated term count.
+    cached; products over the leading block of positions (up to the last
+    exchangeable one) are memoized by exponent prefix.  Positions past the
+    block are never mutated, so their product is one monomial c x^b, kept
+    by exponent suffix with M b (M the ambient form).  monomial(a) is one
+    pass over the prefix product: c_p x^p -> c_p c v^{twist(a) + p.Mb} x^{p+b}.
     """
 
     def __init__(self, seed, ring):
@@ -160,13 +161,12 @@ class SeedExpander:
         self._block = (max(cols) + 1) if cols else 0
         self._pows: dict = {}
         self._prefix: dict = {}
+        self._suffix: dict = {}
 
     def _power(self, t: int, e: int) -> TorusElement:
-        key = (t, e)
-        got = self._pows.get(key)
+        got = self._pows.get((t, e))
         if got is None:
-            got = self.variables[t] ** e
-            self._pows[key] = got
+            got = self._pows[t, e] = self.variables[t] ** e
         return got
 
     def _block_product(self, prefix) -> TorusElement:
@@ -178,16 +178,29 @@ class SeedExpander:
             self._prefix[prefix] = got
         return got
 
+    def _suffix_monomial(self, suffix) -> tuple:
+        got = self._suffix.get(suffix)
+        if got is None:
+            acc = TorusElement.one(self.ring, self.ambient)
+            for t, e in enumerate(suffix, self._block):
+                if e:
+                    acc = acc * self._power(t, e)
+            if len(acc.terms) != 1:
+                raise ValueError("variables past the exchangeable block are not monomials")
+            (b, c), = acc.terms.items()
+            got = self._suffix[suffix] = (b, c, self.ambient.image(b))
+        return got
+
     def monomial(self, a) -> TorusElement:
         """Expansion of the normalized cluster monomial x^a at this ring."""
         a = tuple(int(x) for x in a)
         if len(a) != self.size:
             raise ValueError("exponent vector has wrong length")
-        acc = self._block_product(a[:self._block])
-        for t in range(self._block, self.size):
-            if a[t]:
-                acc = acc * self._power(t, a[t])
-        return acc.scale(self.ring.v_power(self.seed.lam.twist(a)))
+        b, c, mb = self._suffix_monomial(a[self._block:])
+        mul_v, twist = self.ring.mul_v, self.seed.lam.twist(a)
+        return TorusElement(self.ring, self.ambient, {
+            tuple(map(add, p, b)): mul_v(cp, c, twist + sum(map(mul, p, mb)))
+            for p, cp in self._block_product(a[:self._block]).terms.items()})
 
 
 def _first_difference(left: TorusElement, right: TorusElement) -> dict:

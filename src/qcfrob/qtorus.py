@@ -10,6 +10,7 @@ coefficients), sent to a root of unity, or sent to 1.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 
 from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 
@@ -20,9 +21,9 @@ class NonExactDivision(ArithmeticError):
 
 # -- coefficient ring adapters --------------------------------------------
 #
-# A ring adapter bundles the constants, the image of v, the canonical form
-# of a term dict and the map from Z[v, v^-1] into the ring, so torus code
-# can stay generic.  Elements themselves carry the arithmetic.
+# A ring adapter bundles the constants, the image of v, the fused product
+# mul_v(a, b, k) = a b v^k, the canonical form of a term dict and the map
+# from Z[v, v^-1] into the ring, so torus code can stay generic.
 
 class LaurentRing:
     """Integer Laurent polynomials in v."""
@@ -38,6 +39,9 @@ class LaurentRing:
 
     def v_power(self, e):
         return IntLaurent.v_power(e)
+
+    def mul_v(self, a, b, k):
+        return (a * b).shifted(k)
 
     def is_zero(self, c):
         return c.is_zero
@@ -78,6 +82,7 @@ class CycloRing:
             raise ValueError("order must be an odd integer >= 3")
         self.l = l
         self.point = point
+        self._half = (l + 1) // 2 if point is Point.EPS else 0
 
     def zero(self):
         return CycloInt.zero(self.l)
@@ -89,9 +94,10 @@ class CycloRing:
         return CycloInt.from_int(self.l, n)
 
     def v_power(self, e):
-        if self.point is Point.ONE:
-            return CycloInt.from_int(self.l, 1)
-        return CycloInt.eps_power(self.l, (e * ((self.l + 1) // 2)) % self.l)
+        return CycloInt.eps_power(self.l, e * self._half)
+
+    def mul_v(self, a, b, k):
+        return a.mul_eps(b, k * self._half)
 
     def is_zero(self, c):
         return c.is_zero
@@ -145,6 +151,9 @@ class PrimeField:
 
     def v_power(self, e):
         return 1
+
+    def mul_v(self, a, b, k):
+        return a * b % self.p
 
     def is_zero(self, c):
         return c % self.p == 0
@@ -207,6 +216,10 @@ class SkewForm:
                 row = mat[i]
                 total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
         return total
+
+    def image(self, b) -> tuple:
+        """M b, so that L(a, b) is the dot product of a with it."""
+        return tuple(sum(map(mul, row, b)) for row in self.mat)
 
     def twist(self, a) -> int:
         """Exponent of v normalizing the ordered product x_1^{a_1} ... x_r^{a_r}."""
@@ -280,12 +293,13 @@ class TorusElement:
 
     def __mul__(self, other):
         self._check_peer(other)
-        ring, form = self.ring, self.form
+        ring, form, mul_v = self.ring, self.form, self.ring.mul_v
+        right = [(b, cb, form.image(b)) for b, cb in other.terms.items()]
         out: dict = {}
         for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                c = ca * cb * ring.v_power(form(a, b))
+            for b, cb, mb in right:
+                key = tuple(map(add, a, b))
+                c = mul_v(ca, cb, sum(map(mul, a, mb)))
                 out[key] = out[key] + c if key in out else c
         return TorusElement(ring, form, out)
 
@@ -366,6 +380,7 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
     hi = tuple(max(a[i] for a in g_sup) - max(b[i] for b in f_sup) for i in range(r))
     lm_f = max(f.terms)
     lc_f = f.terms[lm_f]
+    f_terms = [(b, cb, form.image(b)) for b, cb in f.terms.items()]
     rem = dict(g.terms)
     quot: dict = {}
     while rem:
@@ -374,13 +389,13 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
         if any(not lo[i] <= t[i] <= hi[i] for i in range(r)):
             raise NonExactDivision(f"required exponent {t} escapes the quotient box")
         try:
-            c = ring.div(rem[lm_r], lc_f * ring.v_power(form(t, lm_f)))
+            c = ring.div(rem[lm_r], ring.mul_v(lc_f, ring.one(), form(t, lm_f)))
         except ExactDivisionError as exc:
             raise NonExactDivision(f"coefficient not divisible: {exc}") from exc
         quot[t] = c
-        for b, cb in f.terms.items():
-            key = tuple(x + y for x, y in zip(t, b))
-            delta = c * cb * ring.v_power(form(t, b))
+        for b, cb, mb in f_terms:
+            key = tuple(map(add, t, b))
+            delta = ring.mul_v(c, cb, sum(map(mul, t, mb)))
             cur = rem.get(key, ring.zero()) - delta
             if ring.is_zero(cur):
                 rem.pop(key, None)

@@ -267,6 +267,15 @@ def test_main_jobs_matches_serial(tmp_path, capsys):
     assert "engine error" in serial
 
 
+def test_composite_order_campaign(capsys):
+    # the one sample campaign whose eps ring reduces mod a composite Phi_l
+    path = pathlib.Path(__file__).parent.parent / "campaigns" / "a3-order9.json"
+    assert main(["--config", str(path), "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["verdict"], c["checked"]) for c in checks] == [
+        ("theorem", "PASS", 1458)] * 4
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs in process."""
     sizes = []

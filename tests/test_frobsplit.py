@@ -27,7 +27,7 @@ from qcfrob.qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusEle
 from qcfrob.rootdatum import beta_sequence, cartan_preset
 
 from _classical import classical_mutate_vars, torus_at_one
-from _seeds import A2_WORD, A3_WORD, cell_form, cell_seed
+from _seeds import A2_WORD, A3_WORD, B2_WORD, cell_form, cell_seed
 
 LR = LaurentRing()
 A2 = cartan_preset("A2")
@@ -238,12 +238,26 @@ def test_embed_padded_guards():
 
 # -- expander consistency --------------------------------------------------
 
-@pytest.mark.parametrize("mutations", [(), (0,)])
-def test_expander_matches_direct_expansion(mutations):
-    seed = cell_seed("A2", A2_WORD, mutations)
-    rings = [CycloRing(3, Point.ONE), CycloRing(3, Point.EPS), PrimeField(3)]
+EXPANDER_CELLS = [("A2", A2_WORD, ()), ("A2", A2_WORD, (0,)),
+                  ("A3", A3_WORD, ()), ("A3", A3_WORD, (0,)), ("A3", A3_WORD, (0, 1)),
+                  ("B2", B2_WORD, ()), ("B2", B2_WORD, (1,)), ("B2", B2_WORD, (0, 1))]
+
+
+@pytest.mark.parametrize("preset, word, mutations", EXPANDER_CELLS,
+                         ids=[f"{p}-" + ("-".join(map(str, m)) or "id")
+                              for p, _, m in EXPANDER_CELLS])
+def test_expander_matches_direct_expansion(preset, word, mutations):
+    seed = cell_seed(preset, word, mutations)
+    rings = [CycloRing(l, point) for l in (3, 5) for point in Point] + [PrimeField(3)]
     expanders = [SeedExpander(seed, ring) for ring in rings]
-    for a in itertools.product(range(3), repeat=3):
+    # exchangeable exponents stay nonnegative; frozen ones, single monomials
+    # under mutation, also go negative
+    exchangeable = set(seed.btilde.cols)
+    rng = random.Random(f"expander:{preset}:{mutations}")
+    vectors = [(0,) * len(word)] + [
+        tuple(rng.randrange(3) if t in exchangeable else rng.randrange(-2, 3)
+              for t in range(len(word))) for _ in range(12)]
+    for a in vectors:
         exact = cluster_monomial(seed, a)
         for ring, exp in zip(rings, expanders):
             if isinstance(ring, PrimeField):
@@ -258,6 +272,13 @@ def test_expander_handles_negative_frozen_exponents():
     exp = SeedExpander(seed, CycloRing(3, Point.ONE))
     got = exp.monomial((0, -2, 1))
     assert got == spec_torus(cluster_monomial(seed, (0, -2, 1)), 3, Point.ONE)
+
+
+def test_expander_rejects_non_monomial_frozen_product():
+    exp = SeedExpander(cell_seed("A2", A2_WORD), CycloRing(3, Point.ONE))
+    exp.variables[2] = exp.variables[2] + exp.variables[0]
+    with pytest.raises(ValueError, match="not monomials"):
+        exp.monomial((0, 0, 1))
 
 
 # -- the theorem -----------------------------------------------------------

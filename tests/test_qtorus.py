@@ -200,3 +200,36 @@ def test_coefficients_canonical_in_every_ring(name):
         for h in [f, g] + results:
             assert_canonical(h)
 
+
+def naive_product(f, g):
+    """The product as the sum of ca * cb * v^L(a, b) over term pairs, with
+    the ring's general multiplication and the form's own evaluation."""
+    ring, form = f.ring, f.form
+    out = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            c = ca * cb * ring.v_power(form(a, b))
+            out[key] = out[key] + c if key in out else c
+    return TorusElement(ring, form, out)
+
+
+# l = 9 is composite: Phi_9 = x^6 + x^3 + 1 has degree 6, so subtracting the
+# x^(l-1) coefficient from the others, a full reduction for prime l, leaves
+# eight coefficients there where the canonical form has six
+FUSED_RINGS = {"laurent": LR, "f3": PrimeField(3), "f5": PrimeField(5),
+               **{f"{point.value}{l}": CycloRing(l, point)
+                  for l in (3, 5, 9) for point in Point}}
+
+
+@pytest.mark.parametrize("name", FUSED_RINGS)
+def test_fused_product_matches_naive(name):
+    ring = FUSED_RINGS[name]
+    rng = random.Random(f"fused:{name}")
+    for _ in range(40):
+        form = rand_skew(rng, rng.randrange(1, 5))
+        f, g = (random_torus_element(rng, ring, form, nterms=4)
+                + to_ring(rand_elt(rng, form), ring) for _ in range(2))
+        assert f * g == naive_product(f, g)
+        if g and not isinstance(ring, CycloRing):
+            assert exact_right_divide(f * g, g) == f

@@ -77,12 +77,6 @@ def test_coproduct_is_multiplicative():
 def test_coproduct_coassociative():
     # splitting left factors again must agree with splitting right factors
     for word in [(0, 1), (0, 0, 1), (1, 0, 1, 0)]:
-        lhs = {}
-        for lw, rw, e1 in word_splits(B2, word):
-            for l2, m2, e2 in word_splits(B2, lw):
-                key = (l2, m2, rw)
-                lhs[key] = lhs.get(key, 0) + 0  # placeholder, compare exponents below
-        # exponent bookkeeping: compare full triple-split coefficients
         def triple_via_left(word):
             out = {}
             for lw, rw, e1 in word_splits(B2, word):
