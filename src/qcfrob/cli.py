@@ -31,12 +31,15 @@ from .frobsplit import (TheoremSession, check_split_axioms,
                         require_valid_order)
 from .qtorus import NonExactDivision, PrimeField, SkewForm, is_prime
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
-from .uqn import (CheckOutcome, check_frobenius_on_minor, check_minor_power,
-                  commutation_matrix)
+from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
+                  check_minor_power, commutation_matrix, divided_word_count,
+                  word_count)
 
 KNOWN_CHECKS = ("LAMBDA", "THEOREM", "BASE_CASE", "KKKO", "SPLIT_AXIOMS", "REDUCTION")
 
 _VECTOR_CAP = 200_000
+# Words (KKKO) or divided words (BASE_CASE) one minor check may enumerate.
+_MINOR_CAP = 1_000_000
 
 # Recorded with every report: why torus-level equality of the exponent maps
 # decides the identity for cluster monomials, including ones with frozen
@@ -249,6 +252,19 @@ class Campaign:
             except ValueError as exc:
                 raise CampaignError(f"cartan: {exc}") from None
 
+        for check, what, count in (("BASE_CASE", "divided words", divided_word_count),
+                                   ("KKKO", "words", word_count)):
+            if check not in checks:
+                continue
+            for t in range(len(word)):
+                gamma = chain_minor_weight(datum, word, t)
+                for l in raw_l:
+                    n = count(l * gamma)
+                    if n > _MINOR_CAP:
+                        raise CampaignError(
+                            f"checks: {check} at position {t + 1}, l = {l} needs "
+                            f"{n} {what}, more than {_MINOR_CAP}")
+
         prefix = doc.get("reduction_prefix", max(1, len(word) // 2))
         if not _is_int(prefix) or not 1 <= prefix <= len(word):
             raise CampaignError("reduction_prefix: out of range")
@@ -388,17 +404,13 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
                     _theorem_batch, (seeds[seq], l, campaign.vectors))]
                   for l in campaign.l_values for seq in campaign.sequences]
 
-    # Every minor check goes into one task, because they all share uqn's
-    # module caches: on a 2-core box the 12 minor checks of A2 at l = 3, 5
-    # cost about 13 s of CPU in one process and 21 s when each runs alone.
-    minors = [(name, {"position": t + 1, "l": l}, fn, (datum, word, t, l))
+    # One task per minor check; each owns its oracle caches.
+    tasks += [[(name, {"position": t + 1, "l": l}, fn, (datum, word, t, l))]
               for check, name, fn in (
                   ("BASE_CASE", "minor-base-case", check_frobenius_on_minor),
                   ("KKKO", "minor-power", check_minor_power))
               if check in checks
               for l in campaign.l_values for t in range(len(word))]
-    if minors:
-        tasks.append(minors)
 
     primes = [l for l in campaign.l_values if is_prime(l)]
     trials = campaign.trials
@@ -476,8 +488,8 @@ def main(argv=None) -> int:
     parser.add_argument("--deterministic", action="store_true",
                         help="zero out timing fields")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for every check task; the "
-                        "minor checks form one task, as they share caches")
+                        help="worker processes for the check tasks: one per "
+                        "theorem batch, prime, and minor check")
     parser.add_argument("--out", help="write the report here instead of stdout; "
                         "QCFROB_OUT_DIR prefixes relative paths")
     args = parser.parse_args(argv)

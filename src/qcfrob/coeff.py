@@ -1,10 +1,12 @@
 """Exact coefficient arithmetic.
 
-Everything downstream runs over one of four coefficient domains built here:
-Laurent polynomials in v = q^(1/2) with integer coefficients, reduced
-rational functions in v, cyclotomic integers Z[x]/Phi_l(x) for odd l, and
-(elsewhere) prime fields.  No floating point, no truncation: all operations
-are exact and all equality checks are syntactic on canonical forms.
+Everything downstream runs over one of three coefficient domains built
+here: Laurent polynomials in v = q^(1/2) with integer coefficients,
+cyclotomic integers Z[x]/Phi_l(x) for odd l, and (elsewhere) prime fields.
+Reduced rational functions in v (RatFunc) are no longer on any runtime
+path; the tests' minor oracle still computes with them.  No floating point,
+no truncation: all operations are exact and all equality checks are
+syntactic on canonical forms.
 """
 
 from __future__ import annotations

@@ -1,48 +1,38 @@
 """The positive half of a quantized enveloping algebra, seen through its
 integrable modules.
 
-Elements are sums of words in the raising generators over Q(v), never
-reduced modulo the Serre relations.  Integrable highest-weight modules are
-realized on formal lowering words, and every functional here is a matrix
-coefficient of the action on such a module, so it kills the quantum Serre
-relations without any quotient being taken (the tests check this on the
-minors).  Quantum minors are the matrix coefficients at extremal vectors;
-they multiply through the twisted coproduct, and divided powers carry the
-Frobenius-type exponent division by the root-of-unity order.
+Integrable highest-weight modules are realized on formal lowering words,
+and every functional here is a matrix coefficient of the action on such a
+module, so it kills the quantum Serre relations without any quotient being
+taken (the tests check this on the minors).  Quantum minors are the matrix
+coefficients at extremal vectors; they multiply through the twisted
+coproduct, and divided powers carry the Frobenius-type exponent division by
+the root-of-unity order.
+
+Every module vector and functional value lies in Z[v, v^-1]: divided powers
+act integrally on integrable modules (Lusztig's integral form).  A minor
+acts on the extremal lowering word with coefficient 1 and divides its value
+once, exactly, by prod [a_t]! over the word's divided-power exponents; a
+divided word is evaluated on its underlying word and divided exactly by
+prod [n]!.  These are the only two divisions, and an inexact one raises
+ExactDivisionError.
+
+The e-action memo is owned by one top-level call (commutation_matrix,
+check_frobenius_on_minor or check_minor_power) and dies with it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import comb, factorial
 
-from .coeff import (
-    ExactDivisionError,
-    IntLaurent,
-    Point,
-    RatFunc,
-    qfactorial,
-    qint,
-    specialize,
-)
+from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
 from .rootdatum import CartanData, RootVector, Weight
-
-_SPLIT_CACHE: dict = {}
-_EACT_CACHE: dict = {}
 
 
 class NotQCommutingError(ValueError):
     """Two functionals failed to commute up to a single integer power of q."""
-
-
-# -- free algebra ----------------------------------------------------------
-
-class FreeElt:
-    """Sum of words in the raising generators with rational-function coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
 
 
 def word_weight(datum: CartanData, word) -> RootVector:
@@ -75,6 +65,14 @@ def words_of_weight(datum: CartanData, gamma: RootVector):
     return out
 
 
+def word_count(gamma: RootVector) -> int:
+    """Number of words of weight gamma, without enumerating them."""
+    out = factorial(sum(gamma.coords))
+    for c in gamma.coords:
+        out //= factorial(c)
+    return out
+
+
 # -- twisted coproduct -----------------------------------------------------
 
 def word_splits(datum: CartanData, word):
@@ -84,10 +82,6 @@ def word_splits(datum: CartanData, word):
     coproduct of the word, where e collects -(alpha_s, alpha_k) over pairs
     with s earlier than k, s sent right and k sent left.
     """
-    key = (datum, word)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
     m = len(word)
     rf = datum.root_form
     out = []
@@ -103,43 +97,60 @@ def word_splits(datum: CartanData, word):
             else:
                 right.append(word[k])
         out.append((tuple(left), tuple(right), expo))
-    _SPLIT_CACHE[key] = out
     return out
 
 
-def coproduct(datum: CartanData, x: FreeElt) -> dict:
-    """Twisted coproduct as a dict {(left, right): coefficient}."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        for lw, rw, expo in word_splits(datum, w):
-            key = (lw, rw)
-            out[key] = out.get(key, RatFunc.zero()) + c * RatFunc.v_power(expo)
-    return {k: v for k, v in out.items() if not v.is_zero}
+def splits_with_right_weight(datum: CartanData, word, gamma: RootVector):
+    """The (left, right, e) triples of word_splits whose right part has
+    weight gamma, enumerated directly: gamma_i of the positions of each
+    letter i go right.
 
-
-def tensor_mul(datum: CartanData, a: dict, b: dict) -> dict:
-    """Product on split dicts: (x1 @ x2)(y1 @ y2) = q^{-(wt x2, wt y1)} x1 y1 @ x2 y2."""
-    out: dict = {}
-    for (x1, x2), ca in a.items():
-        for (y1, y2), cb in b.items():
-            expo = 0
-            for s in x2:
-                for k in y1:
-                    expo -= 2 * datum.root_form(s, k)
-            key = (x1 + y1, x2 + y2)
-            out[key] = out.get(key, RatFunc.zero()) + ca * cb * RatFunc.v_power(expo)
-    return {k: v for k, v in out.items() if not v.is_zero}
+    With suf[s] = sum over k > s of (alpha_{w_s}, alpha_{w_k}), the twist of
+    a right part R is -2 (sum over s in R of suf[s], minus the pairs inside
+    R); the pairs inside R sum to ((gamma, gamma) - sum_i gamma_i (alpha_i,
+    alpha_i)) / 2 whatever R is, as the form is symmetric.
+    """
+    rf = datum.root_form
+    n, m = datum.n, len(word)
+    after = [0] * n
+    suf = [0] * m
+    for s in range(m - 1, -1, -1):
+        i = word[s]
+        suf[s] = sum(rf(i, j) * after[j] for j in range(n) if after[j])
+        after[i] += 1
+    g = gamma.coords
+    inner = (sum(g[i] * g[j] * rf(i, j) for i in range(n) for j in range(n))
+             - sum(g[i] * rf(i, i) for i in range(n))) // 2
+    # per letter: (right positions, left positions, sum of suf over the right)
+    per_letter = []
+    for i in range(n):
+        positions = [p for p in range(m) if word[p] == i]
+        per_letter.append([(list(c), [p for p in positions if p not in c],
+                            sum(suf[p] for p in c))
+                           for c in itertools.combinations(positions, g[i])])
+    letter = word.__getitem__
+    for choice in itertools.product(*per_letter):
+        rpos, lpos, total = [], [], 0
+        for r, lft, sr in choice:
+            rpos += r
+            lpos += lft
+            total += sr
+        rpos.sort()
+        lpos.sort()
+        yield (tuple(map(letter, lpos)), tuple(map(letter, rpos)),
+               2 * (inner - total))
 
 
 # -- integrable modules on lowering words ----------------------------------
 #
-# A vector in V(hw) is a dict {fword: coefficient}; the fword (j_1, ..., j_m)
+# A vector in V(hw) is a dict {fword: IntLaurent}; the fword (j_1, ..., j_m)
 # stands for f_{j_1} ... f_{j_m} applied to the highest weight vector.
 # Radical vectors are carried along formally and die under the pairing.
+# `cache` memoizes e_on_fword for one top-level call.
 
-def e_on_fword(datum: CartanData, hw: Weight, i: int, fword) -> dict:
-    key = (datum, hw, i, fword)
-    hit = _EACT_CACHE.get(key)
+def e_on_fword(datum: CartanData, hw: Weight, i: int, fword, cache: dict) -> dict:
+    key = (hw, i, fword)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     out: dict = {}
@@ -147,63 +158,38 @@ def e_on_fword(datum: CartanData, hw: Weight, i: int, fword) -> dict:
     for p in range(len(fword) - 1, -1, -1):
         if fword[p] == i:
             c = qint(mu.coords[i], datum.sym[i])
-            if not c.is_zero:
+            if c:
                 rest = fword[:p] + fword[p + 1:]
                 cur = out.get(rest)
-                coeff = RatFunc.from_laurent(c)
-                out[rest] = coeff if cur is None else cur + coeff
+                out[rest] = c if cur is None else cur + c
         mu = mu - datum.alpha(fword[p])
-    out = {w: c for w, c in out.items() if not c.is_zero}
-    _EACT_CACHE[key] = out
+    out = {w: c for w, c in out.items() if c}
+    cache[key] = out
     return out
 
 
-def e_act(datum: CartanData, hw: Weight, i: int, vec: dict) -> dict:
+def e_act(datum: CartanData, hw: Weight, i: int, vec: dict, cache: dict) -> dict:
     out: dict = {}
     for fword, c in vec.items():
-        for rest, step in e_on_fword(datum, hw, i, fword).items():
-            out[rest] = out.get(rest, RatFunc.zero()) + c * step
-    return {w: c for w, c in out.items() if not c.is_zero}
+        for rest, step in e_on_fword(datum, hw, i, fword, cache).items():
+            cur = out.get(rest)
+            out[rest] = c * step if cur is None else cur + c * step
+    return {w: c for w, c in out.items() if c}
 
 
-def word_act(datum: CartanData, hw: Weight, word, vec: dict) -> dict:
+def word_act(datum: CartanData, hw: Weight, word, vec: dict, cache: dict) -> dict:
     """Apply e_{a_1} ... e_{a_m} to a vector, rightmost factor first."""
     for i in reversed(word):
         if not vec:
             break
-        vec = e_act(datum, hw, i, vec)
+        vec = e_act(datum, hw, i, vec, cache)
     return vec
 
 
-def pair_fwords(datum: CartanData, hw: Weight, u, w) -> RatFunc:
-    """Contravariant form on V(hw): (f_j u', w) = (u', e_j w), (vac, vac) = 1."""
-    if len(u) != len(w):
-        return RatFunc.zero()
-    if not u:
-        return RatFunc.one()
-    if sorted(u) != sorted(w):
-        return RatFunc.zero()
-    j, rest = u[0], u[1:]
-    total = RatFunc.zero()
-    for w2, c in e_on_fword(datum, hw, j, w).items():
-        sub = pair_fwords(datum, hw, rest, w2)
-        if not sub.is_zero:
-            total = total + c * sub
-    return total
-
-
-def pair_vectors(datum: CartanData, hw: Weight, u: dict, w: dict) -> RatFunc:
-    total = RatFunc.zero()
-    for fu, cu in u.items():
-        for fw, cw in w.items():
-            val = pair_fwords(datum, hw, fu, fw)
-            if not val.is_zero:
-                total = total + cu * cw * val
-    return total
-
-
-def extremal_vector(datum: CartanData, hw: Weight, word) -> dict:
-    """Extremal vector of weight word(hw) as divided lowering powers.
+def extremal_fword(datum: CartanData, hw: Weight, word):
+    """The extremal vector of weight word(hw) as (fword, divisor): the
+    lowering word f_{i_1}^{a_1} ... f_{i_r}^{a_r} and prod [a_t]!, the
+    vector being fword / divisor.
 
     Exponents are read off hw right to left: a_t = <h_{i_t}, s_{i_{t+1}}
     ... s_{i_r} hw>.  Requires a dominant hw and a word along which all
@@ -220,37 +206,12 @@ def extremal_vector(datum: CartanData, hw: Weight, word) -> dict:
         exps[t] = a
         running = datum.reflect(word[t], running)
     fword = []
-    coeff = RatFunc.one()
+    divisor = IntLaurent.one()
     for t, i in enumerate(word):
         fword.extend([i] * exps[t])
         if exps[t] > 1:
-            coeff = coeff / RatFunc.from_laurent(qfactorial(exps[t], datum.sym[i]))
-    return {tuple(fword): coeff}
-
-
-def weight_space_rank(datum: CartanData, hw: Weight, depth: RootVector) -> int:
-    """Rank of the contravariant form on the span of fwords at hw - depth."""
-    basis = words_of_weight(datum, depth)
-    gram = [[pair_fwords(datum, hw, u, w) for w in basis] for u in basis]
-    # Gaussian elimination over the fraction field
-    rank = 0
-    rows = [list(r) for r in gram]
-    ncols = len(basis)
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(rows)) if not rows[r][col].is_zero), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = rows[row][col].inv()
-        rows[row] = [x * inv for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
-        row += 1
-        rank += 1
-    return rank
+            divisor = divisor * qfactorial(exps[t], datum.sym[i])
+    return tuple(fword), divisor
 
 
 # -- functionals and quantum minors ----------------------------------------
@@ -267,23 +228,16 @@ class Functional:
         self._cache: dict = {}
         self.label = label
 
-    def __call__(self, word) -> RatFunc:
+    def __call__(self, word) -> IntLaurent:
         word = tuple(word)
-        if word_weight(self.datum, word) != self.gamma:
-            return RatFunc.zero()
         hit = self._cache.get(word)
         if hit is None:
-            hit = self._fn(word)
+            if word_weight(self.datum, word) == self.gamma:
+                hit = self._fn(word)
+            else:
+                hit = IntLaurent.zero()
             self._cache[word] = hit
         return hit
-
-    def evaluate(self, x: FreeElt) -> RatFunc:
-        total = RatFunc.zero()
-        for w, c in x.terms.items():
-            val = self(w)
-            if not val.is_zero:
-                total = total + c * val
-        return total
 
     def __mul__(self, other: "Functional") -> "Functional":
         return functional_mul(self, other)
@@ -302,75 +256,77 @@ class Functional:
 
 def counit(datum: CartanData) -> Functional:
     zero_wt = RootVector((0,) * datum.n)
-    return Functional(datum, zero_wt, lambda word: RatFunc.one(), label="counit")
+    return Functional(datum, zero_wt, lambda word: IntLaurent.one(), label="counit")
 
 
 def functional_mul(phi: Functional, psi: Functional) -> Functional:
     """Product in the graded dual: evaluate through the twisted coproduct.
 
     (phi psi)(x) pairs phi with the left coproduct factor and psi with the
-    right one, including the split twist.
+    right one, including the split twist; only the splits whose right part
+    has psi's weight can contribute.
     """
     if phi.datum != psi.datum:
         raise ValueError("functionals over different Cartan data")
     datum = phi.datum
-    gamma = phi.gamma + psi.gamma
-    lheight = phi.gamma.height
 
     def fn(word):
-        total = RatFunc.zero()
-        for lw, rw, expo in word_splits(datum, word):
-            if len(lw) != lheight:
-                continue
+        acc: dict = {}
+        for lw, rw, expo in splits_with_right_weight(datum, word, psi.gamma):
             a = phi(lw)
-            if a.is_zero:
+            if not a:
                 continue
             b = psi(rw)
-            if b.is_zero:
+            if not b:
                 continue
-            total = total + a * b * RatFunc.v_power(expo)
-        return total
+            for ea, ca in a.terms.items():
+                for eb, cb in b.terms.items():
+                    e = ea + eb + expo
+                    acc[e] = acc.get(e, 0) + ca * cb
+        return IntLaurent(acc)
 
     label = f"{phi.label or 'phi'}*{psi.label or 'psi'}"
-    return Functional(datum, gamma, fn, label=label)
+    return Functional(datum, phi.gamma + psi.gamma, fn, label=label)
 
 
-def quantum_minor(datum: CartanData, hw: Weight, prefix) -> Functional:
+def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Functional:
     """Matrix coefficient x -> (x v_{w hw}, v_hw) for w the given word prefix.
 
     Supported on the single weight hw - w(hw); the pairing against the
-    highest weight vector picks the empty-fword coefficient after acting.
+    highest weight vector picks the empty-fword coefficient after acting on
+    the extremal fword, which is then divided by prod [a_t]!.  `cache`
+    memoizes the e-action; by default the minor owns one.
     """
     prefix = tuple(prefix)
-    target = extremal_vector(datum, hw, prefix)
+    fword, divisor = extremal_fword(datum, hw, prefix)
     low = datum.apply_word(prefix, hw)
     gamma = datum.weight_to_root(hw - low)
     if any(c < 0 for c in gamma.coords):
         raise ValueError("extremal weight not below the highest weight")
+    cache = {} if cache is None else cache
+    target = {fword: IntLaurent.one()}
 
     def fn(word):
-        vec = word_act(datum, hw, word, target)
-        return vec.get((), RatFunc.zero())
+        val = word_act(datum, hw, word, target, cache).get(())
+        return IntLaurent.zero() if val is None else val.exact_div(divisor)
 
     return Functional(datum, gamma, fn,
                       label=f"D(hw={hw.coords}, w={prefix})")
 
 
 def cell_minors(datum: CartanData, word) -> list:
-    """The chain of minors D_t attached to the prefixes of a word."""
+    """The chain of minors D_t attached to the prefixes of a word, sharing
+    one e-action memo."""
     word = tuple(word)
-    return [quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
+    cache: dict = {}
+    return [quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1], cache)
             for t in range(len(word))]
 
 
-def _as_v_power(r: RatFunc):
-    if r.is_zero or len(r.num.terms) != 1 or len(r.den.terms) != 1:
-        return None
-    (en, cn), = r.num.terms.items()
-    (ed, cd), = r.den.terms.items()
-    if cn != cd:
-        return None
-    return en - ed
+def chain_minor_weight(datum: CartanData, word, t: int) -> RootVector:
+    """The weight gamma_t = varpi - w_{<=t} varpi of the chain minor D_t."""
+    hw = datum.fundamental(word[t])
+    return datum.weight_to_root(hw - datum.apply_word(word[: t + 1], hw))
 
 
 def commutation_matrix(datum: CartanData, word) -> tuple:
@@ -387,19 +343,16 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
         for k in range(t + 1, r):
             left = minors[k] * minors[t]    # D_k D_t
             right = minors[t] * minors[k]   # D_t D_k
-            gamma = left.gamma
             m = None
-            seen_nonzero = False
-            for w in words_of_weight(datum, gamma):
+            for w in words_of_weight(datum, left.gamma):
                 a, b = left(w), right(w)
                 if a.is_zero != b.is_zero:
                     raise NotQCommutingError(
                         f"minors {t}, {k}: value vanishes on one side only at {w}")
                 if a.is_zero:
                     continue
-                seen_nonzero = True
-                expo = _as_v_power(a / b)
-                if expo is None or expo % 2:
+                expo = a.min_exp() - b.min_exp()
+                if expo % 2 or a != b.shifted(expo):
                     raise NotQCommutingError(
                         f"minors {t}, {k}: ratio at {w} is not an integer power of q")
                 if m is None:
@@ -407,7 +360,7 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
                 elif m != expo // 2:
                     raise NotQCommutingError(
                         f"minors {t}, {k}: inconsistent powers {m} and {expo // 2}")
-            if not seen_nonzero:
+            if m is None:
                 raise NotQCommutingError(f"minors {t}, {k}: product vanishes identically")
             mat[t][k] = m
             mat[k][t] = -m
@@ -417,44 +370,61 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
 # -- divided words and Frobenius-type exponent maps ------------------------
 
 def divided_words_of_weight(datum: CartanData, gamma: RootVector):
-    """All products of divided generator powers with the given total weight.
+    """Yield every product of divided generator powers with the given total
+    weight.
 
     Entries are (letter, power) pairs with power >= 1; consecutive equal
     letters are allowed, so e_i^{(1)} e_i^{(1)} and e_i^{(2)} both occur.
     """
     remaining = list(gamma.coords)
     if any(c < 0 for c in remaining):
-        return []
-    out = []
+        return
 
     def rec(acc):
         if not any(remaining):
-            out.append(tuple(acc))
+            yield tuple(acc)
             return
         for i in range(datum.n):
-            if remaining[i]:
-                for p in range(1, remaining[i] + 1):
-                    remaining[i] -= p
-                    acc.append((i, p))
-                    rec(acc)
-                    acc.pop()
-                    remaining[i] += p
+            for p in range(1, remaining[i] + 1):
+                remaining[i] -= p
+                acc.append((i, p))
+                yield from rec(acc)
+                acc.pop()
+                remaining[i] += p
 
-    rec([])
-    return out
+    yield from rec([])
 
 
-def divided_to_free(datum: CartanData, dword) -> FreeElt:
-    """Expand e_{i_1}^{(n_1)} ... into the word basis: one word, factorial coefficient."""
-    word = []
-    coeff = RatFunc.one()
-    for i, n in dword:
-        if n < 1:
-            raise ValueError("divided powers must be >= 1")
-        word.extend([i] * n)
-        if n > 1:
-            coeff = coeff / RatFunc.from_laurent(qfactorial(n, datum.sym[i]))
-    return FreeElt({tuple(word): coeff})
+def divided_word_count(gamma: RootVector) -> int:
+    """Number of divided words of weight gamma, without enumerating them:
+    the entries of letter i form a composition of gamma_i into some k_i
+    parts, and the entries of different letters interleave freely."""
+    total = 0
+    for parts in itertools.product(*(range(1, c + 1) if c else (0,)
+                                     for c in gamma.coords)):
+        ways = word_count(RootVector(parts))
+        for c, k in zip(gamma.coords, parts):
+            if c:
+                ways *= comb(c - 1, k - 1)
+        total += ways
+    return total
+
+
+def divided_value(f: Functional, dword, divisors: dict) -> IntLaurent:
+    """f on e_{i_1}^{(n_1)} e_{i_2}^{(n_2)} ...: f on the underlying word,
+    divided exactly by prod [n]!.  `divisors` memoizes the divisor per
+    multiset of powers."""
+    val = f([i for i, n in dword for _ in range(n)])
+    if not val:
+        return val
+    key = tuple(sorted(dword))
+    divisor = divisors.get(key)
+    if divisor is None:
+        divisor = IntLaurent.one()
+        for i, n in key:
+            divisor = divisor * qfactorial(n, f.datum.sym[i])
+        divisors[key] = divisor
+    return val.exact_div(divisor)
 
 
 def fr_divided(dword, l: int):
@@ -491,19 +461,17 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     name = f"frobenius-minor[t={t}, l={l}]"
     minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
     power = minor ** l
-    big_gamma = RootVector(tuple(l * c for c in minor.gamma.coords))
+    divisors: dict = {}
     checked = 0
-    for dword in divided_words_of_weight(datum, big_gamma):
+    for dword in divided_words_of_weight(datum, l * minor.gamma):
         checked += 1
         down = fr_divided(dword, l)
         try:
             if down is None:
                 lhs = specialize(IntLaurent.zero(), l, Point.ONE)
             else:
-                lhs_val = minor.evaluate(divided_to_free(datum, down))
-                lhs = specialize(lhs_val.as_laurent(), l, Point.ONE)
-            rhs_val = power.evaluate(divided_to_free(datum, dword))
-            rhs = specialize(rhs_val.as_laurent(), l, Point.EPS)
+                lhs = specialize(divided_value(minor, down, divisors), l, Point.ONE)
+            rhs = specialize(divided_value(power, dword, divisors), l, Point.EPS)
         except ExactDivisionError as exc:
             return CheckOutcome(name, False, checked, witness=dword,
                                 note=f"value not specializable: {exc}")
@@ -523,19 +491,23 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     name = f"minor-power[t={t}, l={l}]"
     prefix = word[: t + 1]
     hw = datum.fundamental(word[t])
-    minor = quantum_minor(datum, hw, prefix)
+    cache: dict = {}
+    minor = quantum_minor(datum, hw, prefix, cache)
     power = minor ** l
-    big = quantum_minor(datum, Weight(tuple(l * c for c in hw.coords)), prefix)
+    big = quantum_minor(datum, l * hw, prefix, cache)
     low = datum.apply_word(prefix, hw)
     shift = datum.pairing(hw, hw - low) * l * (l - 1)
     if shift.denominator != 1:
         return CheckOutcome(name, False, 0, note="twist exponent not an integer")
-    twist = RatFunc.v_power(-int(shift))
     checked = 0
     for w in words_of_weight(datum, power.gamma):
         checked += 1
-        lhs = power(w)
-        rhs = big(w) * twist
+        try:
+            lhs = power(w)
+            rhs = big(w).shifted(-int(shift))
+        except ExactDivisionError as exc:
+            return CheckOutcome(name, False, checked, witness=w,
+                                note=f"value not specializable: {exc}")
         if lhs != rhs:
             return CheckOutcome(name, False, checked, witness=w,
                                 note=f"{lhs!r} vs {rhs!r}")

@@ -4,12 +4,14 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from qcfrob import cli
+from qcfrob import cli, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main, run)
+from qcfrob.coeff import qint
 from qcfrob.qtorus import NonExactDivision
 
 # --format json --deterministic reports of the two configs in
@@ -119,6 +121,11 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(cartan=AFFINE, checks=["THEOREM"]), "singular"),
     (a2_doc(cartan=AFFINE, checks=["SPLIT_AXIOMS"]), "singular"),
     (a2_doc(cartan=AFFINE, checks=["REDUCTION"]), "singular"),
+    # a minor check past the enumeration cap
+    (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], l_values=[5], checks=["KKKO"]),
+     "KKKO at position 5, l = 5 needs 46558512 words"),
+    (a2_doc(cartan="B2", word=[1, 2, 1, 2], l_values=[3, 5], checks=["BASE_CASE"]),
+     "BASE_CASE at position 4, l = 5 needs 288654574 divided words"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -296,14 +303,44 @@ class RecordingPool:
 def test_pool_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    # two theorem batches, and three minor checks sharing one task
+    # two theorem batches and three minor checks, one task each
     c = Campaign.from_dict(a2_doc(checks=["THEOREM", "KKKO"]))
     report = run(c, jobs=5000)
-    assert RecordingPool.sizes == [3]
+    assert RecordingPool.sizes == [5]
     names = [rec["name"] for rec in report["checks"]]
     assert names == ["theorem"] * 2 + ["minor-power"] * 3
-    run(Campaign.from_dict(a2_doc(checks=["KKKO"])), jobs=4)
-    assert RecordingPool.sizes == [3]       # a single task runs in process
+    run(Campaign.from_dict(a2_doc(checks=["SPLIT_AXIOMS"], trials=5)), jobs=4)
+    assert RecordingPool.sizes == [5]       # a single task runs in process
+
+
+def test_minor_check_over_cap_exits_two_at_once(tmp_path, capsys):
+    # G2 at l = 5 has 87,616,512 divided words at positions 2 and 3
+    doc = {"cartan": "G2", "word": [1, 2, 1], "l_values": [5], "checks": ["BASE_CASE"]}
+    path = write_config(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main(["--config", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "BASE_CASE at position 2, l = 5 needs 87616512 divided words" in (
+        capsys.readouterr().err)
+
+
+def test_inexact_minor_division_is_a_fail_record(tmp_path, capsys, monkeypatch):
+    # a minor divisor off by [3] makes every minor value non-integral
+    extremal = uqn.extremal_fword
+
+    def off_by_three(datum, hw, word):
+        fword, divisor = extremal(datum, hw, word)
+        return fword, divisor * qint(3)
+
+    monkeypatch.setattr(uqn, "extremal_fword", off_by_three)
+    path = write_config(tmp_path, a2_doc(checks=["BASE_CASE", "KKKO"]))
+    assert main(["--config", path, "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["name"], r["verdict"]) for r in records] == (
+        [("minor-base-case", "FAIL")] * 3 + [("minor-power", "FAIL")] * 3)
+    for rec in records:
+        assert rec["note"].startswith("value not specializable: ")
+        assert rec["witness"]
 
 
 def test_engine_error_stands_in_for_seed(monkeypatch):

@@ -1,31 +1,35 @@
 """Coproduct, modules, quantum minors, and divided-power maps."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from qcfrob.coeff import Point, RatFunc, qbinom, qfactorial, qint, specialize
+from qcfrob.coeff import IntLaurent, Point, RatFunc, qbinom, qfactorial, qint, specialize
 from qcfrob.rootdatum import RootVector, Weight, cartan_preset
 from qcfrob.uqn import (
-    FreeElt,
-    NotQCommutingError,
     cell_minors,
+    chain_minor_weight,
     check_frobenius_on_minor,
     check_minor_power,
     commutation_matrix,
-    coproduct,
     counit,
-    divided_to_free,
+    divided_value,
+    divided_word_count,
     divided_words_of_weight,
-    extremal_vector,
+    extremal_fword,
     fr_divided,
-    pair_vectors,
     quantum_minor,
-    tensor_mul,
-    weight_space_rank,
+    splits_with_right_weight,
+    word_count,
     word_splits,
+    word_weight,
     words_of_weight,
 )
+
+import _ratfunc_uqn as oracle
+from _ratfunc_uqn import (FreeElt, coproduct, divided_to_free, extremal_vector,
+                          pair_vectors, tensor_mul, weight_space_rank)
 
 A1 = cartan_preset("A1")
 A2 = cartan_preset("A2")
@@ -34,9 +38,16 @@ G2 = cartan_preset("G2")
 
 A2_LAMBDA = ((0, -1, 1), (1, 0, 0), (-1, 0, 0))
 
+ONE = IntLaurent.one()
+
 
 def vp(e):
     return RatFunc.v_power(e)
+
+
+def lp(*exps):
+    """The Laurent polynomial sum of v^e over the given exponents."""
+    return IntLaurent(Counter(exps))
 
 
 def word_elt(word):
@@ -53,8 +64,20 @@ def test_word_enumeration_counts():
 def test_divided_word_enumeration():
     got = divided_words_of_weight(A2, RootVector((2, 0)))
     assert sorted(got) == [((0, 1), (0, 1)), ((0, 2),)]
-    assert len(divided_words_of_weight(A2, RootVector((2, 1)))) == 5
-    assert divided_words_of_weight(A2, RootVector((0, 0))) == [()]
+    assert len(list(divided_words_of_weight(A2, RootVector((2, 1))))) == 5
+    assert list(divided_words_of_weight(A2, RootVector((0, 0)))) == [()]
+    assert list(divided_words_of_weight(A2, RootVector((-1, 0)))) == []
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_counts_without_enumeration(name):
+    datum = cartan_preset(name)
+    for coords in [(0,) * datum.n, (1,) * datum.n, (3,) + (0,) * (datum.n - 1),
+                   (2, 3) + (1,) * (datum.n - 2)]:
+        gamma = RootVector(coords)
+        assert word_count(gamma) == len(words_of_weight(datum, gamma))
+        assert divided_word_count(gamma) == len(list(
+            divided_words_of_weight(datum, gamma)))
 
 
 def test_coproduct_of_generator_and_square():
@@ -123,11 +146,11 @@ def test_minor_products_kill_serre_relations():
             counts = [0] * datum.n
             counts[i], counts[j] = m, 1
             assert product.gamma == RootVector(tuple(counts))
-            serre = {}
+            value = IntLaurent.zero()
             for k in range(m + 1):
-                c = RatFunc.from_laurent(qbinom(m, k, datum.sym[i]))
-                serre[(i,) * (m - k) + (j,) + (i,) * k] = -c if k % 2 else c
-            assert product.evaluate(FreeElt(serre)).is_zero, (datum, word)
+                c = qbinom(m, k, datum.sym[i]) * product((i,) * (m - k) + (j,) + (i,) * k)
+                value = value - c if k % 2 else value + c
+            assert value.is_zero, (datum, word)
             assert any(not product(w).is_zero
                        for w in words_of_weight(datum, product.gamma))
 
@@ -155,20 +178,28 @@ def test_divided_power_norm_in_module():
 
 
 def test_extremal_vectors():
-    assert extremal_vector(A2, A2.fundamental(1), (0, 1)) == {(0, 1): RatFunc.one()}
-    assert extremal_vector(A2, A2.fundamental(0), (0, 1, 0)) == {(1, 0): RatFunc.one()}
-    doubled = extremal_vector(A2, Weight((2, 0)), (0, 1, 0))
-    inv2 = RatFunc.one() / RatFunc.from_laurent(qint(2, 1))
-    assert doubled == {(1, 1, 0, 0): inv2 * inv2}
+    assert extremal_fword(A2, A2.fundamental(1), (0, 1)) == ((0, 1), ONE)
+    assert extremal_fword(A2, A2.fundamental(0), (0, 1, 0)) == ((1, 0), ONE)
+    assert extremal_fword(A2, Weight((2, 0)), (0, 1, 0)) == (
+        (1, 1, 0, 0), qint(2, 1) * qint(2, 1))
+    # the oracle's vector is the fword over the divisor
+    for datum, hw, word in [(A2, Weight((2, 0)), (0, 1, 0)),
+                            (B2, Weight((0, 3)), (1, 0, 1)),
+                            (G2, Weight((2, 1)), (0, 1, 0))]:
+        fword, divisor = extremal_fword(datum, hw, word)
+        assert extremal_vector(datum, hw, word) == {
+            fword: RatFunc.one() / RatFunc.from_laurent(divisor)}
+    with pytest.raises(ValueError, match="dominant"):
+        extremal_fword(A2, Weight((-1, 0)), (0,))
 
 
 def test_minor_values_on_word_basis():
     d0, d1, d2 = cell_minors(A2, (0, 1, 0))
-    assert d0((0,)) == RatFunc.one()
+    assert d0((0,)) == ONE
     assert d0((1,)).is_zero
-    assert d1((1, 0)) == RatFunc.one()
+    assert d1((1, 0)) == ONE
     assert d1((0, 1)).is_zero
-    assert d2((0, 1)) == RatFunc.one()
+    assert d2((0, 1)) == ONE
     assert d2((1, 0)).is_zero
     assert d0.gamma == RootVector((1, 0))
     assert d1.gamma == RootVector((1, 1))
@@ -179,14 +210,14 @@ def test_functional_product_values():
     d0, d1, _ = cell_minors(A2, (0, 1, 0))
     p01 = d0 * d1
     p10 = d1 * d0
-    assert p01((0, 1, 0)) == RatFunc.one()
-    assert p01((1, 0, 0)) == vp(2) + vp(-2)
+    assert p01((0, 1, 0)) == ONE
+    assert p01((1, 0, 0)) == lp(2, -2)
     assert p01((0, 0, 1)).is_zero
-    assert p10((0, 1, 0)) == vp(-2)
-    assert p10((1, 0, 0)) == RatFunc.one() + vp(-4)
+    assert p10((0, 1, 0)) == lp(-2)
+    assert p10((1, 0, 0)) == lp(0, -4)
     # q-commutation: D0 D1 = q * (D1 D0)
     for w in words_of_weight(A2, p01.gamma):
-        assert p01(w) == p10(w) * vp(2)
+        assert p01(w) == p10(w).shifted(2)
 
 
 def test_counit_is_identity_for_functional_product():
@@ -216,17 +247,6 @@ def test_commutation_matrix_longer_words():
                   (0, 0, 0, 0))
 
 
-def test_v_power_detection():
-    from qcfrob.uqn import _as_v_power
-
-    assert _as_v_power(vp(2)) == 2
-    assert _as_v_power(vp(-5)) == -5
-    assert _as_v_power(vp(3) / vp(7)) == -4
-    assert _as_v_power(RatFunc.one() + vp(2)) is None
-    assert _as_v_power(RatFunc.from_int(3)) is None
-    assert _as_v_power(RatFunc.zero()) is None
-
-
 def test_divided_frobenius_maps():
     assert fr_divided(((0, 3), (1, 6)), 3) == ((0, 1), (1, 2))
     assert fr_divided(((0, 2),), 3) is None
@@ -254,8 +274,8 @@ def test_frobenius_on_minor_a2_all_positions():
     for t in range(3):
         out = check_frobenius_on_minor(A2, (0, 1, 0), t, 3)
         assert out.passed, (t, out.note, out.witness)
-        assert out.checked == len(divided_words_of_weight(
-            A2, RootVector(tuple(3 * c for c in cell_minors(A2, (0, 1, 0))[t].gamma.coords))))
+        assert out.checked == len(list(divided_words_of_weight(
+            A2, 3 * cell_minors(A2, (0, 1, 0))[t].gamma)))
 
 
 def test_specialization_example_inside_check():
@@ -265,8 +285,65 @@ def test_specialization_example_inside_check():
     d0 = cell_minors(A2, (0, 1, 0))[0]
     cubed = d0 ** 3
     val = cubed((0, 0, 0))
-    assert val == (RatFunc.one() + vp(-4)) * (RatFunc.one() + vp(-4) + vp(-8))
-    assert specialize(val.as_laurent(), 3, Point.EPS).is_zero
+    assert val == lp(0, -4) * lp(0, -4, -8)
+    assert specialize(val, 3, Point.EPS).is_zero
     # while dividing by [3]! first leaves the unit q^-3
-    divided = val / RatFunc.from_laurent(qint(2, 1) * qint(3, 1))
-    assert divided == vp(-6)
+    assert val.exact_div(qint(2, 1) * qint(3, 1)) == lp(-6)
+    assert divided_value(cubed, ((0, 3),), {}) == lp(-6)
+
+
+# -- the integral path against the RatFunc oracle --------------------------
+
+@pytest.mark.parametrize("name, words", [
+    ("A2", [(0, 0, 1, 0), (1, 0, 1, 0, 0)]),
+    ("B2", [(0, 1, 1, 0, 1), (1, 0, 0, 1, 0, 1)]),
+    ("G2", [(0, 0, 1, 0, 1, 0), (1, 0, 1, 1, 0)]),
+])
+def test_restricted_splits_match_word_splits(name, words):
+    datum = cartan_preset(name)
+    for word in words:
+        full = word_splits(datum, word)
+        for gamma in {word_weight(datum, rw) for _, rw, _ in full}:
+            want = Counter(s for s in full if word_weight(datum, s[1]) == gamma)
+            assert Counter(splits_with_right_weight(datum, word, gamma)) == want
+
+
+@pytest.mark.parametrize("name, word", [
+    ("A2", (0, 1, 0)), ("B2", (0, 1, 0, 1)), ("G2", (0, 1, 0)),
+    ("A3", (0, 1, 0, 2, 1, 0)),
+])
+def test_minor_values_match_ratfunc_oracle(name, word):
+    # every chain minor, its square and each adjacent product, on every
+    # word of its weight
+    datum = cartan_preset(name)
+    new, old = cell_minors(datum, word), oracle.cell_minors(datum, word)
+    pairs = list(zip(new, old))
+    pairs += [(d * d, o * o) for d, o in zip(new, old)]
+    pairs += [(new[t] * new[t + 1], old[t] * old[t + 1]) for t in range(len(word) - 1)]
+    pairs += [(new[t + 1] * new[t], old[t + 1] * old[t]) for t in range(len(word) - 1)]
+    for f, g in pairs:
+        assert f.gamma == g.gamma
+        values = [f(w) for w in words_of_weight(datum, f.gamma)]
+        assert values == [g(w).as_laurent() for w in words_of_weight(datum, f.gamma)]
+        assert any(values)
+
+
+def test_divided_values_match_ratfunc_oracle():
+    # D_t^3 on the divided words of its weight, B2 position 2
+    word, t = (0, 1, 0, 1), 1
+    hw = B2.fundamental(word[t])
+    power = quantum_minor(B2, hw, word[: t + 1]) ** 3
+    old = oracle.quantum_minor(B2, hw, word[: t + 1]) ** 3
+    dwords = list(divided_words_of_weight(B2, power.gamma))
+    assert len(dwords) == 1944
+    divisors = {}
+    for dword in dwords:
+        assert divided_value(power, dword, divisors) == old.evaluate(
+            divided_to_free(B2, dword)).as_laurent()
+
+
+def test_chain_minor_weight():
+    for name, word in [("A2", (0, 1, 0)), ("B2", (0, 1, 0, 1)), ("A3", (0, 1, 0, 2, 1, 0))]:
+        datum = cartan_preset(name)
+        assert [chain_minor_weight(datum, word, t) for t in range(len(word))] == [
+            d.gamma for d in cell_minors(datum, word)]
