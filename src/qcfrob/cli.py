@@ -21,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cluster import (IncompatibleLambdaError, NotCompatibleError,
                       btilde_from_word, check_compatible, mutate_seed,
@@ -38,8 +39,16 @@ from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
 KNOWN_CHECKS = ("LAMBDA", "THEOREM", "BASE_CASE", "KKKO", "SPLIT_AXIOMS", "REDUCTION")
 
 _VECTOR_CAP = 200_000
-# Words (KKKO) or divided words (BASE_CASE) one minor check may enumerate.
+# Mutation steps a campaign may ask for: the lengths of the sequences of
+# all seeds it builds, one per distinct prefix.  Every seed stays in memory
+# with its sequence as history, and is keyed by it.
+_MUTATION_CAP = 100_000
+# Divided words one BASE_CASE check may enumerate.
 _MINOR_CAP = 1_000_000
+# The cost of one KKKO check, in words times l^4: raising a minor to the
+# l-th power makes each word's value about l^4 times as expensive.  At
+# l = 3 this admits the 10^6 words BASE_CASE admits in divided words.
+_KKKO_CAP = 81 * _MINOR_CAP
 
 # Recorded with every report: why torus-level equality of the exponent maps
 # decides the identity for cluster monomials, including ones with frozen
@@ -98,6 +107,15 @@ def enumerate_mutation_sequences(positions, depth: int, *, prune=True):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def mutation_sequence_count(k: int, depth: int, *, prune=True) -> int:
+    """len(enumerate_mutation_sequences(positions, depth, prune=prune)) for
+    k positions, in closed form: 1 + k((k-1)^d - 1)/(k-2) pruned (1 + 2d
+    when k = 2), (k^(d+1) - 1)/(k - 1) without pruning."""
+    def geometric(r, n):            # 1 + r + ... + r^(n-1)
+        return n if r == 1 else (r ** n - 1) // (r - 1)
+    return 1 + k * geometric(k - 1, depth) if prune else geometric(k, depth + 1)
 
 
 @dataclass
@@ -187,6 +205,11 @@ class Campaign:
                         raise CampaignError(
                             f"mutations: position {k + 1} is not exchangeable")
                 sequences.append(zeroed)
+            # at most L(L + 1)/2 steps for the prefixes of a sequence of length L
+            if sum(len(seq) * (len(seq) + 1) // 2 for seq in sequences) > _MUTATION_CAP:
+                raise CampaignError(
+                    f"mutations: sequences need more than {_MUTATION_CAP} mutation "
+                    "steps (every prefix counted)")
             sequences = tuple(sequences)
         else:
             depth = mut.get("depth", 0)
@@ -195,6 +218,17 @@ class Campaign:
             no_prune = mut.get("no_prune", False)
             if not isinstance(no_prune, bool):
                 raise CampaignError("mutations: no_prune must be true or false")
+            # Every prefix of an enumerated sequence is enumerated too, so
+            # sequences times depth bounds the steps.  Counted, not
+            # enumerated: the product does not fall with depth and passes
+            # the cap at cap + 1, so clamping there keeps the powers small
+            # and the verdict unchanged.
+            d = min(depth, _MUTATION_CAP + 1)
+            if d * mutation_sequence_count(len(positions), d,
+                                           prune=not no_prune) > _MUTATION_CAP:
+                raise CampaignError(
+                    f"mutations: depth {depth} needs more than {_MUTATION_CAP} "
+                    "mutation steps (sequences times depth)")
             sequences = tuple(enumerate_mutation_sequences(
                 positions, depth, prune=not no_prune))
 
@@ -252,18 +286,21 @@ class Campaign:
             except ValueError as exc:
                 raise CampaignError(f"cartan: {exc}") from None
 
-        for check, what, count in (("BASE_CASE", "divided words", divided_word_count),
-                                   ("KKKO", "words", word_count)):
+        # A minor check costs its words or divided words, times l^4 for
+        # KKKO; a rejection names its costliest position and order.
+        for check, what, count, power, cap in (
+                ("BASE_CASE", "divided words", divided_word_count, 0, _MINOR_CAP),
+                ("KKKO", "words", word_count, 4, _KKKO_CAP)):
             if check not in checks:
                 continue
-            for t in range(len(word)):
-                gamma = chain_minor_weight(datum, word, t)
-                for l in raw_l:
-                    n = count(l * gamma)
-                    if n > _MINOR_CAP:
-                        raise CampaignError(
-                            f"checks: {check} at position {t + 1}, l = {l} needs "
-                            f"{n} {what}, more than {_MINOR_CAP}")
+            costs = [(n * l ** power, n, t, l) for t in range(len(word)) for l in raw_l
+                     for n in [count(l * chain_minor_weight(datum, word, t))]]
+            cost, n, t, l = max(costs, key=itemgetter(0), default=(0, 0, 0, 0))
+            if cost > cap:
+                per_word = f", {n} * l^{power} = {cost}" if power else ""
+                raise CampaignError(
+                    f"checks: {check} at position {t + 1}, l = {l} needs {n} "
+                    f"{what}{per_word}, more than {cap}")
 
         prefix = doc.get("reduction_prefix", max(1, len(word) // 2))
         if not _is_int(prefix) or not 1 <= prefix <= len(word):
@@ -334,6 +371,19 @@ def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
     return seeds
 
 
+# The SeedExpander power table of this process, shared by every theorem
+# batch it runs: set by run on the serial path and cleared when run ends, or
+# set by the pool initializer in each worker, which ends with the pool.
+# Powers are exact and keyed by the element raised, so no report depends on
+# which process ran which batch.
+_POWERS: dict | None = None
+
+
+def _fresh_powers() -> None:
+    global _POWERS
+    _POWERS = {}
+
+
 def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     """The theorem at order l for every exponent vector on one seed, or a
     FAIL carrying the engine error that stands in for the seed."""
@@ -341,7 +391,7 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     try:
         if isinstance(seed, Exception):
             raise seed
-        session = TheoremSession(seed, l)
+        session = TheoremSession(seed, l, _POWERS)
         for a in vectors:
             step = session.check(a)
             checked += step.checked
@@ -381,6 +431,7 @@ def _resolve_lambda(campaign: Campaign):
 
 
 def run(campaign: Campaign, jobs: int = 1) -> dict:
+    global _POWERS
     checks, datum, word = campaign.checks, campaign.datum, campaign.word
     records = []
     lam = source = None
@@ -432,10 +483,15 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
                            reduction_commutes, (datum, word, prefix, elems))])
 
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_fresh_powers) as pool:
             done = list(pool.map(_run_task, tasks))
     else:
-        done = map(_run_task, tasks)
+        _fresh_powers()
+        try:
+            done = list(map(_run_task, tasks))
+        finally:
+            _POWERS = None
     records.extend(itertools.chain.from_iterable(done))
 
     meta = {"type": campaign.label,
@@ -516,9 +572,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    with out as fh:
-        report = run(campaign, jobs=args.jobs)
-        fh.write(emit(report, args.format, deterministic=args.deterministic))
+    report = None
+    try:
+        with out as fh:
+            report = run(campaign, jobs=args.jobs)
+            fh.write(emit(report, args.format, deterministic=args.deterministic))
+            fh.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: the rest of the report is dropped, and
+        # stdout is pointed at devnull so the flush at exit cannot fail too.
+        if report is None:
+            raise
+        if args.out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
     failed = any(rec["verdict"] == "FAIL" for rec in report["checks"])
     return 1 if failed else 0

@@ -288,7 +288,9 @@ class CycloInt:
             return NotImplemented
         return self.l == other.l and self.coeffs == other.coeffs
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        # coeffs is the reduced form, so equal elements hash alike
+        return hash((self.l, self.coeffs))
 
     def __add__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)

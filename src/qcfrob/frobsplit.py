@@ -143,15 +143,23 @@ class SeedExpander:
 
     Expanding directly over the specialized ring is legitimate because the
     coefficient specialization is a ring map, so it commutes with the
-    normal-ordered product defining x^a.  Powers of single variables are
-    cached; products over the leading block of positions (up to the last
-    exchangeable one) are memoized by exponent prefix.  Positions past the
-    block are never mutated, so their product is one monomial c x^b, kept
-    by exponent suffix with M b (M the ambient form).  monomial(a) is one
-    pass over the prefix product: c_p x^p -> c_p c v^{twist(a) + p.Mb} x^{p+b}.
+    normal-ordered product defining x^a.  Products over the leading block
+    of positions (up to the last exchangeable one) are memoized by exponent
+    prefix.  Positions past the block are never mutated, so their product
+    is one monomial c x^b, kept by exponent suffix with M b (M the ambient
+    form).  monomial(a) is one pass over the prefix product:
+    c_p x^p -> c_p c v^{twist(a) + p.Mb} x^{p+b}.
+
+    Powers of single variables go to a table: a private one keyed by
+    (position, exponent) by default, or the powers dict passed in, keyed by
+    the ring, the ambient form, the variable's terms and the exponent.  That
+    key names the element being raised, so one table can serve every
+    expander of every seed, over any ring whose coefficients hash: the same
+    cluster variables recur across the seeds of a cell, and their powers
+    are computed once.
     """
 
-    def __init__(self, seed, ring):
+    def __init__(self, seed, ring, powers: dict | None = None):
         self.seed = seed
         self.ring = ring
         self.size = len(seed.variables)
@@ -159,14 +167,20 @@ class SeedExpander:
         self.ambient = self.variables[0].form
         cols = seed.btilde.cols
         self._block = (max(cols) + 1) if cols else 0
-        self._pows: dict = {}
+        if powers is None:
+            self._pows, self._keys = {}, range(self.size)
+        else:
+            self._pows = powers
+            self._keys = [(ring, self.ambient, frozenset(y.terms.items()))
+                          for y in self.variables]
         self._prefix: dict = {}
         self._suffix: dict = {}
 
     def _power(self, t: int, e: int) -> TorusElement:
-        got = self._pows.get((t, e))
+        key = (self._keys[t], e)
+        got = self._pows.get(key)
         if got is None:
-            got = self._pows[t, e] = self.variables[t] ** e
+            got = self._pows[key] = self.variables[t] ** e
         return got
 
     def _block_product(self, prefix) -> TorusElement:
@@ -228,14 +242,17 @@ class TheoremSession:
     maps between the v=1 and v=eps tori send cluster monomials to cluster
     monomials: the pushforward takes x^a at 1 to x^{la} at eps, and the
     splitting takes x^a at eps to x^{a/l} at 1 (zero when l does not
-    divide a)."""
+    divide a).
 
-    def __init__(self, seed, l: int):
+    powers, when given, is a SeedExpander power table that both expanders
+    share, and that may outlive the session to serve later seeds."""
+
+    def __init__(self, seed, l: int, powers: dict | None = None):
         require_valid_order(seed.datum, l)
         self.seed = seed
         self.l = l
-        self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE))
-        self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS))
+        self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE), powers)
+        self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS), powers)
 
     def check(self, a, *, name: str = "theorem") -> CheckOutcome:
         l = self.l

@@ -1,6 +1,7 @@
 """Campaign parsing, the batch driver, and report emission."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from qcfrob import cli, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
-                        enumerate_mutation_sequences, main, run)
+                        enumerate_mutation_sequences, main,
+                        mutation_sequence_count, run)
 from qcfrob.coeff import qint
 from qcfrob.qtorus import NonExactDivision
 
@@ -57,6 +59,17 @@ def test_enumerate_mutation_sequences():
         (), (0,), (1,), (0, 1), (1, 0)]
     full = enumerate_mutation_sequences((0, 1), 2, prune=False)
     assert (0, 0) in full and (1, 1) in full and len(full) == 7
+
+
+def test_mutation_sequence_count_closed_form():
+    for k in range(6):
+        for depth in range(6):
+            for prune in (True, False):
+                assert mutation_sequence_count(k, depth, prune=prune) == len(
+                    enumerate_mutation_sequences(range(k), depth, prune=prune))
+    assert mutation_sequence_count(3, 5) == 94       # the A3 cell to depth 5
+    assert mutation_sequence_count(3, 30) == 3 * 2 ** 30 - 2
+    assert mutation_sequence_count(2, 1000) == 2001
 
 
 def test_campaign_defaults_and_word_conversion():
@@ -126,6 +139,14 @@ def test_campaign_defaults_and_word_conversion():
      "KKKO at position 5, l = 5 needs 46558512 words"),
     (a2_doc(cartan="B2", word=[1, 2, 1, 2], l_values=[3, 5], checks=["BASE_CASE"]),
      "BASE_CASE at position 4, l = 5 needs 288654574 divided words"),
+    # one word, but minor^401 makes it cost like 2.6 * 10^10 of them
+    ({"cartan": "A1", "word": [1], "l_values": [401], "checks": ["KKKO"]},
+     r"KKKO at position 1, l = 401 needs 1 words, 1 \* l\^4 = 25856961601"),
+    (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], mutations={"depth": 30}),
+     "depth 30 needs more than 100000 mutation steps"),
+    # 447 * 448 / 2 = 100,128 steps, one seed per prefix
+    (a2_doc(mutations={"sequences": [[1] * 447]}),
+     "sequences need more than 100000 mutation steps"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -284,11 +305,14 @@ def test_composite_order_campaign(capsys):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+    """Stands in for ProcessPoolExecutor: records its size and worker
+    initializer, runs in process without calling the initializer."""
     sizes = []
+    initializers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -311,6 +335,62 @@ def test_pool_capped_at_task_count(monkeypatch):
     assert names == ["theorem"] * 2 + ["minor-power"] * 3
     run(Campaign.from_dict(a2_doc(checks=["SPLIT_AXIOMS"], trials=5)), jobs=4)
     assert RecordingPool.sizes == [5]       # a single task runs in process
+
+
+def test_pool_workers_start_with_a_power_table(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "initializers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    run(Campaign.from_dict(a2_doc(checks=["THEOREM"])), jobs=2)
+    assert RecordingPool.initializers == [cli._fresh_powers]
+    assert cli._POWERS is None          # the parent never holds one
+    cli._fresh_powers()
+    try:
+        assert cli._POWERS == {}
+    finally:
+        cli._POWERS = None
+
+
+def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
+    seen = []
+    batch = cli._theorem_batch
+
+    def recording(seed, l, vectors):
+        seen.append(cli._POWERS)
+        return batch(seed, l, vectors)
+
+    monkeypatch.setattr(cli, "_theorem_batch", recording)
+    c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=[3, 5],
+                                  mutations={"depth": 2}))
+    report = run(c)
+    assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
+    assert len(seen) == 2 * len(c.sequences)
+    assert all(table is seen[0] for table in seen) and seen[0]
+    assert cli._POWERS is None
+
+    def failing(seed, l, vectors):
+        recording(seed, l, vectors)
+        raise RuntimeError("batch failed")
+
+    monkeypatch.setattr(cli, "_theorem_batch", failing)
+    seen.clear()
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run(c)
+    assert seen and isinstance(seen[0], dict)
+    assert cli._POWERS is None
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"cartan": "A1", "word": [1], "l_values": [401], "checks": ["KKKO"]},
+     "KKKO at position 1, l = 401"),
+    ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
+      "mutations": {"depth": 30}, "checks": ["THEOREM"]}, "depth 30"),
+], ids=["kkko-a1-l401", "a3-depth30"])
+def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
+    path = write_config(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main(["--config", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert fragment in capsys.readouterr().err
 
 
 def test_minor_check_over_cap_exits_two_at_once(tmp_path, capsys):
@@ -386,6 +466,49 @@ def test_main_out_file_and_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCFROB_OUT_DIR", str(outdir))
     assert main(["--config", path, "--format", "json", "--out", "rel.json"]) == 0
     assert (outdir / "rel.json").exists()
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_ends_quietly_on_closed_stdout(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, a2_doc(checks=["LAMBDA"]))
+    with open(tmp_path / "stand-in", "w") as stand_in:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(stand_in.fileno()))
+        assert main(["--config", path, "--format", "json"]) == 0
+        # stdout's descriptor now leads to devnull, so the flush at exit passes
+        os.write(stand_in.fileno(), b"dropped")
+    assert (tmp_path / "stand-in").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "/dev/stdout"]], ids=["stdout", "dev-stdout"])
+def test_closed_pipe_exit_status(tmp_path, extra):
+    if extra and not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    path = write_config(tmp_path, a2_doc(checks=["LAMBDA", "THEOREM"]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qcfrob.cli", "--config", path,
+                               "--format", "json", *extra],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_console_script_runs(tmp_path):

@@ -171,6 +171,29 @@ def test_cycloint_root_identities():
         assert prod == CycloInt.from_int(l, 1)
 
 
+def test_cycloint_hash_agrees_with_eq():
+    rng = random.Random("cyclo-hash")
+    for l in (3, 5, 9):
+        for _ in range(50):
+            raw = [rng.randint(-3, 3) for _ in range(rng.randint(0, 2 * l))]
+            a = CycloInt(l, raw)
+            # the same element from another representative: add a multiple of Phi_l
+            shift = [rng.randint(-2, 2) for _ in range(3)]
+            phi = cyclotomic_coeffs(l)
+            padded = raw + [0] * (len(shift) + len(phi))
+            for i, s in enumerate(shift):
+                for j, c in enumerate(phi):
+                    padded[i + j] += s * c
+            b = CycloInt(l, padded)
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+    # equal coefficient tuples at different orders are different elements
+    assert CycloInt.from_int(3, 2) != CycloInt.from_int(5, 2)
+    assert len({CycloInt.from_int(3, 2), CycloInt.from_int(5, 2)}) == 2
+    assert CycloInt.eps_power(5, 7) == CycloInt.eps_power(5, 2)
+    assert hash(CycloInt.eps_power(5, 7)) == hash(CycloInt.eps_power(5, 2))
+
+
 def test_cycloint_rejects_bad_order_and_mixing():
     with pytest.raises(ValueError):
         CycloInt.from_int(4, 1)

@@ -331,6 +331,55 @@ def test_verify_theorem_wrapper():
     assert TheoremSession(seed, 5).check((1, 2, 0)).passed
 
 
+def _seeds_to_depth_two(preset, word):
+    """Every seed of the cell reached by at most two mutations, no immediate
+    repeat."""
+    cols = cell_seed(preset, word).btilde.cols
+    sequences = [()] + [(p,) for p in cols] + [(p, q) for p in cols for q in cols if p != q]
+    return [cell_seed(preset, word, seq) for seq in sequences]
+
+
+@pytest.mark.parametrize("preset, word", [("A3", A3_WORD), ("B2", B2_WORD)])
+def test_shared_power_table_matches_fresh_sessions(preset, word):
+    # one table across every seed and both orders, as one cli process keeps it
+    table = {}
+    rng = random.Random(f"shared-powers:{preset}")
+    vectors = [(0,) * len(word), (1,) * len(word)] + [
+        tuple(rng.randrange(3) for _ in word) for _ in range(4)]
+    private = 0
+    for seed in _seeds_to_depth_two(preset, word):
+        for l in (3, 5):
+            shared, fresh = TheoremSession(seed, l, table), TheoremSession(seed, l)
+            for a in vectors:
+                got, want = shared.check(a), fresh.check(a)
+                assert (got.passed, got.checked, got.witness) == (
+                    want.passed, want.checked, want.witness)
+                for b in (a, tuple(l * x for x in a)):
+                    assert shared.at_one.monomial(b) == fresh.at_one.monomial(b)
+                    assert shared.at_eps.monomial(b) == fresh.at_eps.monomial(b)
+            private += len(fresh.at_one._pows) + len(fresh.at_eps._pows)
+    # the cluster variables recur from seed to seed, so the table is reused
+    assert 0 < len(table) < private / 2
+
+
+def test_shared_power_table_keys_the_element_raised():
+    # over one ring and one form, a variable two seeds have in common
+    # shares an entry; other rings and exponents get their own
+    seed = cell_seed("A2", A2_WORD)
+    table = {}
+    ring = CycloRing(3, Point.EPS)
+    first = SeedExpander(seed, ring, table)
+    mutated = SeedExpander(cell_seed("A2", A2_WORD, (0,)), ring, table)
+    y = first.variables[1]
+    assert mutated.variables[1] == y and mutated.variables[0] != first.variables[0]
+    assert first._power(1, 2) == y * y
+    assert mutated._power(1, 2) is first._power(1, 2)
+    assert first._power(1, 3) == y * y * y
+    at_one = SeedExpander(seed, CycloRing(3, Point.ONE), table)
+    assert at_one._power(1, 2).ring == CycloRing(3, Point.ONE)
+    assert len(table) == 3
+
+
 def test_theorem_rejects_negative_exponents():
     session = TheoremSession(cell_seed("A2", A2_WORD), 3)
     with pytest.raises(ValueError):
