@@ -21,7 +21,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .cluster import (IncompatibleLambdaError, NotCompatibleError,
                       btilde_from_word, check_compatible, mutate_seed,
@@ -293,9 +292,14 @@ class Campaign:
                 ("KKKO", "words", word_count, 4, _KKKO_CAP)):
             if check not in checks:
                 continue
-            costs = [(n * l ** power, n, t, l) for t in range(len(word)) for l in raw_l
-                     for n in [count(l * chain_minor_weight(datum, word, t))]]
-            cost, n, t, l = max(costs, key=itemgetter(0), default=(0, 0, 0, 0))
+            worst = (0, 0, 0, 0)
+            for t in range(len(word)):
+                gamma = chain_minor_weight(datum, word, t)
+                for l in raw_l:
+                    n = count(l * gamma)
+                    if n * l ** power > worst[0]:
+                        worst = (n * l ** power, n, t, l)
+            cost, n, t, l = worst
             if cost > cap:
                 per_word = f", {n} * l^{power} = {cost}" if power else ""
                 raise CampaignError(
@@ -377,6 +381,12 @@ def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
 # Powers are exact and keyed by the element raised, so no report depends on
 # which process ran which batch.
 _POWERS: dict | None = None
+# Entries the table may hold when a batch starts; past it the table is
+# emptied.  On a cell of finite cluster type a few variables recur and the
+# table stays small (theorem-scatter, 94 seeds, ends at 240 entries); on a
+# cell of infinite type each mutation makes new variables, and without the
+# cap every power of every one of them would stay until the run ends.
+_POWERS_CAP = 1024
 
 
 def _fresh_powers() -> None:
@@ -391,6 +401,8 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     try:
         if isinstance(seed, Exception):
             raise seed
+        if _POWERS is not None and len(_POWERS) > _POWERS_CAP:
+            _POWERS.clear()
         session = TheoremSession(seed, l, _POWERS)
         for a in vectors:
             step = session.check(a)
@@ -583,7 +595,7 @@ def main(argv=None) -> int:
         # stdout is pointed at devnull so the flush at exit cannot fail too.
         if report is None:
             raise
-        if args.out is None:
+        if not args.out:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

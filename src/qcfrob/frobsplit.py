@@ -150,13 +150,12 @@ class SeedExpander:
     form).  monomial(a) is one pass over the prefix product:
     c_p x^p -> c_p c v^{twist(a) + p.Mb} x^{p+b}.
 
-    Powers of single variables go to a table: a private one keyed by
-    (position, exponent) by default, or the powers dict passed in, keyed by
-    the ring, the ambient form, the variable's terms and the exponent.  That
-    key names the element being raised, so one table can serve every
-    expander of every seed, over any ring whose coefficients hash: the same
-    cluster variables recur across the seeds of a cell, and their powers
-    are computed once.
+    Powers of single variables go to a table keyed by the ring, the ambient
+    form, the variable's terms and the exponent: a private table by
+    default, or the powers dict passed in.  The key names the element being
+    raised, so one table can serve every expander of every seed, over any
+    ring whose coefficients hash: the same cluster variables recur across
+    the seeds of a cell, and their powers are computed once.
     """
 
     def __init__(self, seed, ring, powers: dict | None = None):
@@ -167,12 +166,9 @@ class SeedExpander:
         self.ambient = self.variables[0].form
         cols = seed.btilde.cols
         self._block = (max(cols) + 1) if cols else 0
-        if powers is None:
-            self._pows, self._keys = {}, range(self.size)
-        else:
-            self._pows = powers
-            self._keys = [(ring, self.ambient, frozenset(y.terms.items()))
-                          for y in self.variables]
+        self._pows = {} if powers is None else powers
+        self._keys = [(ring, self.ambient, frozenset(y.terms.items()))
+                      for y in self.variables]
         self._prefix: dict = {}
         self._suffix: dict = {}
 

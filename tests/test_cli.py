@@ -379,6 +379,25 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     assert cli._POWERS is None
 
 
+def test_power_table_emptied_past_its_cap(monkeypatch):
+    c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=[3, 5],
+                                  mutations={"depth": 2}))
+    want = emit(run(c), "json", deterministic=True)
+    sizes = []
+    session = cli.TheoremSession
+
+    def recording(seed, l, powers):
+        sizes.append(len(powers))
+        return session(seed, l, powers)
+
+    monkeypatch.setattr(cli, "TheoremSession", recording)
+    monkeypatch.setattr(cli, "_POWERS_CAP", 12)
+    assert emit(run(c), "json", deterministic=True) == want
+    assert len(sizes) == 2 * len(c.sequences) and max(sizes) <= 12
+    # emptied at least once, and refilled after
+    assert any(b < a for a, b in zip(sizes, sizes[1:])) and any(sizes[1:])
+
+
 @pytest.mark.parametrize("doc, fragment", [
     ({"cartan": "A1", "word": [1], "l_values": [401], "checks": ["KKKO"]},
      "KKKO at position 1, l = 401"),
@@ -484,11 +503,13 @@ class ClosedPipe:
         return self.fd
 
 
-def test_main_ends_quietly_on_closed_stdout(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("extra", [[], ["--out", ""]], ids=["no-out", "empty-out"])
+def test_main_ends_quietly_on_closed_stdout(tmp_path, capsys, monkeypatch, extra):
+    # an empty --out writes to stdout too
     path = write_config(tmp_path, a2_doc(checks=["LAMBDA"]))
     with open(tmp_path / "stand-in", "w") as stand_in:
         monkeypatch.setattr(sys, "stdout", ClosedPipe(stand_in.fileno()))
-        assert main(["--config", path, "--format", "json"]) == 0
+        assert main(["--config", path, "--format", "json"] + extra) == 0
         # stdout's descriptor now leads to devnull, so the flush at exit passes
         os.write(stand_in.fileno(), b"dropped")
     assert (tmp_path / "stand-in").read_bytes() == b""
