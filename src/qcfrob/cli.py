@@ -38,10 +38,13 @@ from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
 KNOWN_CHECKS = ("LAMBDA", "THEOREM", "BASE_CASE", "KKKO", "SPLIT_AXIOMS", "REDUCTION")
 
 _VECTOR_CAP = 200_000
-# Mutation steps a campaign may ask for: the lengths of the sequences of
-# all seeds it builds, one per distinct prefix.  Every seed stays in memory
-# with its sequence as history, and is keyed by it.
+# Mutation steps a campaign may ask for: the total length of its listed
+# sequences, or sequences times depth when they are enumerated.  A seed is
+# built by at most that many mutations and keeps none of its history.
 _MUTATION_CAP = 100_000
+# Words commutation_matrix may evaluate both minor products on, summed over
+# the pairs of minors; the A3 longest word needs 816.
+_LAMBDA_CAP = 20_000
 # Divided words one BASE_CASE check may enumerate.
 _MINOR_CAP = 1_000_000
 # The cost of one KKKO check, in words times l^4: raising a minor to the
@@ -90,31 +93,24 @@ def _check_keys(field: str, obj: dict, listed: str, enumerated: set) -> None:
                             "cannot be given together")
 
 
-def enumerate_mutation_sequences(positions, depth: int, *, prune=True):
-    """All mutation sequences up to the given length, skipping immediate
-    repeats unless pruning is off (mutation at one position is involutive,
+def enumerate_mutation_sequences(positions, depth: int):
+    """All mutation sequences up to the given length, shortest first,
+    skipping immediate repeats (mutation at one position is involutive,
     which is tested separately)."""
     out = [()]
     frontier = [()]
     for _ in range(depth):
-        nxt = []
-        for seq in frontier:
-            for pos in positions:
-                if prune and seq and seq[-1] == pos:
-                    continue
-                nxt.append(seq + (pos,))
-        out.extend(nxt)
-        frontier = nxt
+        frontier = [seq + (pos,) for seq in frontier for pos in positions
+                    if not seq or seq[-1] != pos]
+        out.extend(frontier)
     return out
 
 
-def mutation_sequence_count(k: int, depth: int, *, prune=True) -> int:
-    """len(enumerate_mutation_sequences(positions, depth, prune=prune)) for
-    k positions, in closed form: 1 + k((k-1)^d - 1)/(k-2) pruned (1 + 2d
-    when k = 2), (k^(d+1) - 1)/(k - 1) without pruning."""
-    def geometric(r, n):            # 1 + r + ... + r^(n-1)
-        return n if r == 1 else (r ** n - 1) // (r - 1)
-    return 1 + k * geometric(k - 1, depth) if prune else geometric(k, depth + 1)
+def mutation_sequence_count(k: int, depth: int) -> int:
+    """len(enumerate_mutation_sequences(positions, depth)) for k positions,
+    in closed form: 1 + k((k-1)^d - 1)/(k-2), or 1 + 2d when k = 2."""
+    r = k - 1
+    return 1 + k * (depth if r == 1 else (r ** depth - 1) // (r - 1))
 
 
 @dataclass
@@ -189,7 +185,7 @@ class Campaign:
         mut = doc.get("mutations", {"depth": 0})
         if not isinstance(mut, dict):
             raise CampaignError("mutations: expected an object")
-        _check_keys("mutations", mut, "sequences", {"depth", "no_prune"})
+        _check_keys("mutations", mut, "sequences", {"depth"})
         if "sequences" in mut:
             if not isinstance(mut["sequences"], list):
                 raise CampaignError("mutations: sequences must be a list")
@@ -204,32 +200,26 @@ class Campaign:
                         raise CampaignError(
                             f"mutations: position {k + 1} is not exchangeable")
                 sequences.append(zeroed)
-            # at most L(L + 1)/2 steps for the prefixes of a sequence of length L
-            if sum(len(seq) * (len(seq) + 1) // 2 for seq in sequences) > _MUTATION_CAP:
+            if sum(map(len, sequences)) > _MUTATION_CAP:
                 raise CampaignError(
                     f"mutations: sequences need more than {_MUTATION_CAP} mutation "
-                    "steps (every prefix counted)")
+                    "steps (their total length)")
             sequences = tuple(sequences)
         else:
             depth = mut.get("depth", 0)
             if not _is_int(depth) or depth < 0:
                 raise CampaignError("mutations: depth must be a nonnegative integer")
-            no_prune = mut.get("no_prune", False)
-            if not isinstance(no_prune, bool):
-                raise CampaignError("mutations: no_prune must be true or false")
             # Every prefix of an enumerated sequence is enumerated too, so
             # sequences times depth bounds the steps.  Counted, not
             # enumerated: the product does not fall with depth and passes
             # the cap at cap + 1, so clamping there keeps the powers small
             # and the verdict unchanged.
             d = min(depth, _MUTATION_CAP + 1)
-            if d * mutation_sequence_count(len(positions), d,
-                                           prune=not no_prune) > _MUTATION_CAP:
+            if d * mutation_sequence_count(len(positions), d) > _MUTATION_CAP:
                 raise CampaignError(
                     f"mutations: depth {depth} needs more than {_MUTATION_CAP} "
                     "mutation steps (sequences times depth)")
-            sequences = tuple(enumerate_mutation_sequences(
-                positions, depth, prune=not no_prune))
+            sequences = tuple(enumerate_mutation_sequences(positions, depth))
 
         exp = doc.get("exponents", {"max_entry": 0})
         if not isinstance(exp, dict):
@@ -276,14 +266,25 @@ class Campaign:
 
         # The minor model pairs weights through the inverse Cartan matrix,
         # and it computes the form for the seeds when the config gives none.
-        needs_minors = {"LAMBDA", "BASE_CASE", "KKKO"}
+        lambda_checks = {"LAMBDA"}
         if lam_config is None:
-            needs_minors |= {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"}
-        if needs_minors & set(checks):
+            lambda_checks |= {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"}
+        if (lambda_checks | {"BASE_CASE", "KKKO"}) & set(checks):
             try:
                 datum.inverse()
             except ValueError as exc:
                 raise CampaignError(f"cartan: {exc}") from None
+
+        # commutation_matrix evaluates both products of minors t < k on
+        # every word of weight gamma_t + gamma_k.
+        if lambda_checks & set(checks):
+            gammas = [chain_minor_weight(datum, word, t) for t in range(len(word))]
+            n = sum(word_count(gammas[t] + gammas[k])
+                    for k in range(len(word)) for t in range(k))
+            if n > _LAMBDA_CAP:
+                raise CampaignError(
+                    f"checks: the commutation form needs {n} words, more than "
+                    f"{_LAMBDA_CAP}; give it as lambda, without the LAMBDA check")
 
         # A minor check costs its words or divided words, times l^4 for
         # KKKO; a rejection names its costliest position and order.
@@ -340,38 +341,37 @@ def _record(name, params, outcome, millis):
     return rec
 
 
-def _run_task(task) -> list:
-    """Run a task's (name, params, fn, args) checks in order, timing each,
-    and return their records; module-level so a process pool can run tasks
-    in parallel."""
-    records = []
-    for name, params, fn, args in task:
-        t0 = time.perf_counter()
-        outcome = fn(*args)
-        millis = int((time.perf_counter() - t0) * 1000)
-        records.append(_record(name, params, outcome, millis))
-    return records
+def _run_task(task) -> dict:
+    """Run one (name, params, fn, args) check, timed, and return its record;
+    module-level so a process pool can run tasks in parallel."""
+    name, params, fn, args = task
+    t0 = time.perf_counter()
+    outcome = fn(*args)
+    return _record(name, params, outcome, int((time.perf_counter() - t0) * 1000))
 
 
 def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
-    """The seed after each mutation sequence and each of its prefixes, every
-    one built by one mutation of its prefix's seed.  An engine error stands
-    in for the seed it stopped, and for every seed that extends it."""
-    seeds = {}
+    """The seed after each mutation sequence and after none: one mutation of
+    the seed of seq[:-1] when that was built before, otherwise a walk from
+    the word's seed that keeps none of the seeds it passes.  An engine error
+    stands in for the seed it stopped, and for every seed built from it."""
+    try:
+        seeds = {(): seed_from_word(datum, word, lam)}
+    except _ENGINE_ERRORS as exc:
+        seeds = {(): exc}
     for seq in sequences:
-        for n in range(len(seq) + 1):
-            key = seq[:n]
-            if key in seeds:
-                continue
-            prev = seeds.get(key[:-1])
-            if isinstance(prev, Exception):
-                seeds[key] = prev
-                continue
+        if seq in seeds:
+            continue
+        seed, steps = ((seeds[seq[:-1]], seq[-1:]) if seq[:-1] in seeds
+                       else (seeds[()], seq))
+        for pos in steps:
+            if isinstance(seed, Exception):
+                break
             try:
-                seeds[key] = (mutate_seed(prev, key[-1]) if key
-                              else seed_from_word(datum, word, lam))
+                seed = mutate_seed(seed, pos)
             except _ENGINE_ERRORS as exc:
-                seeds[key] = exc
+                seed = exc
+        seeds[seq] = seed
     return seeds
 
 
@@ -408,10 +408,10 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
             step = session.check(a)
             checked += step.checked
             if not step.passed:
-                return CheckOutcome("theorem", False, checked, step.witness, step.note)
+                return CheckOutcome(False, checked, step.witness, step.note)
     except _ENGINE_ERRORS as exc:
-        return CheckOutcome("theorem", False, 0, note=f"engine error: {exc}")
-    return CheckOutcome("theorem", True, checked)
+        return CheckOutcome(False, 0, note=f"engine error: {exc}")
+    return CheckOutcome(True, checked)
 
 
 def _resolve_lambda(campaign: Campaign):
@@ -427,16 +427,16 @@ def _resolve_lambda(campaign: Campaign):
             d = check_compatible(bt, SkewForm(computed))
             want = tuple(2 * campaign.datum.sym[campaign.word[k]] for k in bt.cols)
             if d != want:
-                outcome = CheckOutcome("lambda-oracle", False, 1,
+                outcome = CheckOutcome(False, 1,
                                        witness={"d": list(d), "expected": list(want)})
             elif campaign.lam_config is not None and campaign.lam_config != computed:
-                outcome = CheckOutcome("lambda-oracle", False, 2,
+                outcome = CheckOutcome(False, 2,
                                        witness={"computed": _jsonable(computed),
                                                 "config": _jsonable(campaign.lam_config)})
             else:
-                outcome = CheckOutcome("lambda-oracle", True, 2)
+                outcome = CheckOutcome(True, 2)
         except NotCompatibleError as exc:
-            outcome = CheckOutcome("lambda-oracle", False, 1, note=str(exc))
+            outcome = CheckOutcome(False, 1, note=str(exc))
     lam = campaign.lam_config if campaign.lam_config is not None else computed
     source = "config" if campaign.lam_config is not None else "computed"
     return lam, source, outcome
@@ -457,18 +457,19 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
             records.append(_record("lambda-oracle", {"word": [i + 1 for i in word]},
                                    lam_outcome, millis))
 
-    # One task list in report order.  The check functions are looked up
-    # here, on each call, so wrappers set on this module take effect.
+    # One (name, params, fn, args) task per check, in report order.  The
+    # check functions are looked up here, on each call, so wrappers set on
+    # this module take effect.
     tasks = []
     if "THEOREM" in checks:
         seeds = _build_seeds(datum, word, SkewForm(lam), campaign.sequences)
-        tasks += [[("theorem", {"l": l, "mutations": [k + 1 for k in seq],
-                                "exponents": len(campaign.vectors)},
-                    _theorem_batch, (seeds[seq], l, campaign.vectors))]
+        tasks += [("theorem", {"l": l, "mutations": [k + 1 for k in seq],
+                               "exponents": len(campaign.vectors)},
+                   _theorem_batch, (seeds[seq], l, campaign.vectors))
                   for l in campaign.l_values for seq in campaign.sequences]
 
     # One task per minor check; each owns its oracle caches.
-    tasks += [[(name, {"position": t + 1, "l": l}, fn, (datum, word, t, l))]
+    tasks += [(name, {"position": t + 1, "l": l}, fn, (datum, word, t, l))
               for check, name, fn in (
                   ("BASE_CASE", "minor-base-case", check_frobenius_on_minor),
                   ("KKKO", "minor-power", check_minor_power))
@@ -478,9 +479,9 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     primes = [l for l in campaign.l_values if is_prime(l)]
     trials = campaign.trials
     if "SPLIT_AXIOMS" in checks:
-        tasks += [[("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
-                    (SkewForm(lam), p, random.Random(f"{campaign.rng_seed}:split:{p}"),
-                     trials))]
+        tasks += [("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
+                   (SkewForm(lam), p, random.Random(f"{campaign.rng_seed}:split:{p}"),
+                    trials))
                   for p in primes]
     if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
@@ -490,21 +491,20 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
             ring = PrimeField(p)
             elems = [random_torus_element(rng, ring, block, nterms=5)
                      for _ in range(trials)]
-            tasks.append([("splitting-reduction",
-                           {"p": p, "prefix": prefix, "samples": trials},
-                           reduction_commutes, (datum, word, prefix, elems))])
+            tasks.append(("splitting-reduction",
+                          {"p": p, "prefix": prefix, "samples": trials},
+                          reduction_commutes, (datum, word, prefix, elems)))
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_fresh_powers) as pool:
-            done = list(pool.map(_run_task, tasks))
+            records.extend(pool.map(_run_task, tasks))
     else:
         _fresh_powers()
         try:
-            done = list(map(_run_task, tasks))
+            records.extend(map(_run_task, tasks))
         finally:
             _POWERS = None
-    records.extend(itertools.chain.from_iterable(done))
 
     meta = {"type": campaign.label,
             "word": [i + 1 for i in word],

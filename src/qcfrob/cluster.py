@@ -168,15 +168,14 @@ def btilde_from_word(datum: CartanData, word) -> ExchangeMatrix:
 class QuantumSeed:
     """Compatible pair plus cluster variables expanded in the initial torus."""
 
-    __slots__ = ("datum", "word", "btilde", "lam", "variables", "history", "d")
+    __slots__ = ("datum", "word", "btilde", "lam", "variables", "d")
 
-    def __init__(self, datum, word, btilde, lam, variables, history=()):
+    def __init__(self, datum, word, btilde, lam, variables):
         self.datum = datum
         self.word = word
         self.btilde = btilde
         self.lam = lam
         self.variables = list(variables)
-        self.history = tuple(history)
         self.d = check_compatible(btilde, lam)
 
     @property
@@ -192,8 +191,7 @@ class QuantumSeed:
     __hash__ = None
 
     def __repr__(self):
-        return (f"QuantumSeed(rank={self.rank}, exchangeable={self.btilde.cols}, "
-                f"history={self.history})")
+        return f"QuantumSeed(rank={self.rank}, exchangeable={self.btilde.cols})"
 
 
 def seed_from_word(datum: CartanData, word, lam) -> QuantumSeed:
@@ -243,8 +241,7 @@ def mutate_seed(seed: QuantumSeed, pos: int) -> QuantumSeed:
     new_btilde, new_lam = mutate_pair(seed.btilde, seed.lam, pos)
     new_vars = list(seed.variables)
     new_vars[pos] = new_var
-    return QuantumSeed(seed.datum, seed.word, new_btilde, new_lam, new_vars,
-                       seed.history + (pos,))
+    return QuantumSeed(seed.datum, seed.word, new_btilde, new_lam, new_vars)
 
 
 def cluster_monomial(seed: QuantumSeed, a) -> TorusElement:

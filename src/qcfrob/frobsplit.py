@@ -132,8 +132,8 @@ def reduction_commutes(datum, word, prefix_len: int, elems) -> CheckOutcome:
         if left != right:
             witness = _first_difference(left, right)
             witness["element"] = repr(f)
-            return CheckOutcome("splitting-reduction", False, checked, witness=witness)
-    return CheckOutcome("splitting-reduction", True, checked)
+            return CheckOutcome(False, checked, witness=witness)
+    return CheckOutcome(True, checked)
 
 
 # -- expanding cluster monomials over a specialized ring -------------------
@@ -250,7 +250,7 @@ class TheoremSession:
         self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE), powers)
         self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS), powers)
 
-    def check(self, a, *, name: str = "theorem") -> CheckOutcome:
+    def check(self, a) -> CheckOutcome:
         l = self.l
         a = tuple(int(x) for x in a)
         if any(x < 0 for x in a):
@@ -261,7 +261,7 @@ class TheoremSession:
         if pushed != scaled:
             witness = _first_difference(pushed, scaled)
             witness.update(branch="pushforward", exponent=list(a))
-            return CheckOutcome(name, False, 1, witness=witness)
+            return CheckOutcome(False, 1, witness=witness)
 
         split = frp_star(self.at_eps.monomial(a))
         if all(x % l == 0 for x in a):
@@ -271,9 +271,9 @@ class TheoremSession:
         if split != expected:
             witness = _first_difference(split, expected)
             witness.update(branch="splitting", exponent=list(a))
-            return CheckOutcome(name, False, 2, witness=witness)
+            return CheckOutcome(False, 2, witness=witness)
 
-        return CheckOutcome(name, True, 2)
+        return CheckOutcome(True, 2)
 
 
 def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:
@@ -289,8 +289,8 @@ def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:
     if got != want:
         witness = _first_difference(got, want)
         witness["exponent"] = list(a)
-        return CheckOutcome("splitting-degree-division", False, 1, witness=witness)
-    return CheckOutcome("splitting-degree-division", True, 1)
+        return CheckOutcome(False, 1, witness=witness)
+    return CheckOutcome(True, 1)
 
 
 # -- randomized property material ------------------------------------------
@@ -319,19 +319,18 @@ def check_split_axioms(form: SkewForm, p: int, rng, trials: int) -> CheckOutcome
     one = TorusElement.one(ring, form)
     checked = 0
     if modp_split(one) != one:
-        return CheckOutcome("splitting-axioms", False, 1,
-                            witness={"identity": "phi(1) != 1"})
+        return CheckOutcome(False, 1, witness={"identity": "phi(1) != 1"})
     checked += 1
     for _ in range(trials):
         f = random_torus_element(rng, ring, form)
         g = random_torus_element(rng, ring, form)
         if modp_split((f ** p) * g) != f * modp_split(g):
-            return CheckOutcome("splitting-axioms", False, checked + 1,
+            return CheckOutcome(False, checked + 1,
                                 witness={"identity": "projection formula",
                                          "f": repr(f), "g": repr(g)})
         checked += 1
         if modp_split(f ** p) != f:
-            return CheckOutcome("splitting-axioms", False, checked + 1,
+            return CheckOutcome(False, checked + 1,
                                 witness={"identity": "phi(f^p) != f", "f": repr(f)})
         checked += 1
-    return CheckOutcome("splitting-axioms", True, checked)
+    return CheckOutcome(True, checked)

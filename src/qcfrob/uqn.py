@@ -441,7 +441,6 @@ def fr_divided(dword, l: int):
 
 @dataclass
 class CheckOutcome:
-    name: str
     passed: bool
     checked: int
     witness: object = None
@@ -458,7 +457,6 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     side.
     """
     word = tuple(word)
-    name = f"frobenius-minor[t={t}, l={l}]"
     minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
     power = minor ** l
     divisors: dict = {}
@@ -473,12 +471,12 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
                 lhs = specialize(divided_value(minor, down, divisors), l, Point.ONE)
             rhs = specialize(divided_value(power, dword, divisors), l, Point.EPS)
         except ExactDivisionError as exc:
-            return CheckOutcome(name, False, checked, witness=dword,
+            return CheckOutcome(False, checked, witness=dword,
                                 note=f"value not specializable: {exc}")
         if lhs != rhs:
-            return CheckOutcome(name, False, checked, witness=dword,
+            return CheckOutcome(False, checked, witness=dword,
                                 note=f"one-side {lhs!r} vs eps-side {rhs!r}")
-    return CheckOutcome(name, True, checked)
+    return CheckOutcome(True, checked)
 
 
 def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
@@ -488,7 +486,6 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     times D(w(l hw), l hw), compared on every word of the common weight.
     """
     word = tuple(word)
-    name = f"minor-power[t={t}, l={l}]"
     prefix = word[: t + 1]
     hw = datum.fundamental(word[t])
     cache: dict = {}
@@ -498,7 +495,7 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     low = datum.apply_word(prefix, hw)
     shift = datum.pairing(hw, hw - low) * l * (l - 1)
     if shift.denominator != 1:
-        return CheckOutcome(name, False, 0, note="twist exponent not an integer")
+        return CheckOutcome(False, 0, note="twist exponent not an integer")
     checked = 0
     for w in words_of_weight(datum, power.gamma):
         checked += 1
@@ -506,9 +503,9 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
             lhs = power(w)
             rhs = big(w).shifted(-int(shift))
         except ExactDivisionError as exc:
-            return CheckOutcome(name, False, checked, witness=w,
+            return CheckOutcome(False, checked, witness=w,
                                 note=f"value not specializable: {exc}")
         if lhs != rhs:
-            return CheckOutcome(name, False, checked, witness=w,
+            return CheckOutcome(False, checked, witness=w,
                                 note=f"{lhs!r} vs {rhs!r}")
-    return CheckOutcome(name, True, checked)
+    return CheckOutcome(True, checked)

@@ -13,8 +13,9 @@ from qcfrob import cli, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
+from qcfrob.cluster import seed_from_word
 from qcfrob.coeff import qint
-from qcfrob.qtorus import NonExactDivision
+from qcfrob.qtorus import NonExactDivision, SkewForm
 
 # --format json --deterministic reports of the two configs in
 # test_main_jobs_matches_serial, kept byte for byte so a refactor that changes
@@ -41,6 +42,11 @@ def a2_doc(**overrides):
 AFFINE = {"matrix": [[2, -2], [-2, 2]], "sym": [1, 1]}
 AFFINE_LAMBDA = [[0, -2, -2], [2, 0, 0], [2, 0, 0]]
 
+# A4, which has no preset, and its longest word
+A4 = {"matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+      "sym": [1, 1, 1, 1]}
+A4_W0 = [1, 2, 1, 3, 2, 1, 4, 3, 2, 1]
+
 
 def custom(**cartan):
     return a2_doc(cartan={"matrix": [[2, -1], [-1, 2]], "sym": [1, 1], **cartan})
@@ -57,16 +63,13 @@ def write_config(tmp_path, doc, name="c.json"):
 def test_enumerate_mutation_sequences():
     assert enumerate_mutation_sequences((0, 1), 2) == [
         (), (0,), (1,), (0, 1), (1, 0)]
-    full = enumerate_mutation_sequences((0, 1), 2, prune=False)
-    assert (0, 0) in full and (1, 1) in full and len(full) == 7
 
 
 def test_mutation_sequence_count_closed_form():
     for k in range(6):
         for depth in range(6):
-            for prune in (True, False):
-                assert mutation_sequence_count(k, depth, prune=prune) == len(
-                    enumerate_mutation_sequences(range(k), depth, prune=prune))
+            assert mutation_sequence_count(k, depth) == len(
+                enumerate_mutation_sequences(range(k), depth))
     assert mutation_sequence_count(3, 5) == 94       # the A3 cell to depth 5
     assert mutation_sequence_count(3, 30) == 3 * 2 ** 30 - 2
     assert mutation_sequence_count(2, 1000) == 2001
@@ -110,12 +113,13 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(mutations={"sequences": [[True]]}), "bad sequence"),
     (a2_doc(exponents={"vectors": [[True, 0, 0]]}), "bad vector"),
     (a2_doc(**{"lambda": [[0, True, 0], [-1, 0, 0], [0, 0, 0]]}), "entries must be integers"),
-    (a2_doc(mutations={"depth": 1, "no_prune": "no"}), "no_prune must be true or false"),
+    # repeats are listed, not switched on
+    (a2_doc(mutations={"depth": 1, "no_prune": "no"}), "unknown key 'no_prune'"),
     # misspelt and conflicting keys in the nested objects
     (a2_doc(mutations={"dpeth": 3}), "unknown key 'dpeth'"),
     (a2_doc(exponents={"max_entyr": 2}), "unknown key 'max_entyr'"),
     (a2_doc(mutations={"sequences": [[1]], "depth": 1}), "sequences and depth"),
-    (a2_doc(mutations={"sequences": [[1]], "no_prune": True}), "sequences and no_prune"),
+    (a2_doc(mutations={"sequences": [[1]], "no_prune": True}), "unknown key 'no_prune'"),
     (a2_doc(exponents={"vectors": [[0, 0, 0]], "max_entry": 1}), "vectors and max_entry"),
     # custom Cartan data: JSON integers in list rows, no other keys
     (custom(sym=[True, True]), "sym must be a list of integers"),
@@ -144,13 +148,28 @@ def test_campaign_defaults_and_word_conversion():
      r"KKKO at position 1, l = 401 needs 1 words, 1 \* l\^4 = 25856961601"),
     (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], mutations={"depth": 30}),
      "depth 30 needs more than 100000 mutation steps"),
-    # 447 * 448 / 2 = 100,128 steps, one seed per prefix
-    (a2_doc(mutations={"sequences": [[1] * 447]}),
+    # listed sequences are charged their total length, here 100,001 steps
+    (a2_doc(mutations={"sequences": [[1] * 50_000, [1] * 50_001]}),
      "sequences need more than 100000 mutation steps"),
+    # a commutation form computed from more than 20,000 words
+    (a2_doc(cartan="G2", word=[1, 2, 1, 2, 1, 2], l_values=[5], checks=["LAMBDA"]),
+     "commutation form needs 67582 words"),
+    (a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"]),
+     "commutation form needs 372096 words"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
         Campaign.from_dict(doc)
+
+
+def test_given_form_is_not_charged_without_lambda_check():
+    # commutation_matrix runs only for LAMBDA once a form is given; the
+    # charge is checked here, not the form
+    doc = a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"],
+                 **{"lambda": [[0] * 10 for _ in range(10)]})
+    assert Campaign.from_dict(doc).lam_config == ((0,) * 10,) * 10
+    with pytest.raises(CampaignError, match="needs 372096 words"):
+        Campaign.from_dict({**doc, "checks": ["LAMBDA", "THEOREM"]})
 
 
 def test_campaign_custom_cartan():
@@ -403,7 +422,11 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
      "KKKO at position 1, l = 401"),
     ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
       "mutations": {"depth": 30}, "checks": ["THEOREM"]}, "depth 30"),
-], ids=["kkko-a1-l401", "a3-depth30"])
+    ({"cartan": "A2", "word": [1, 2, 1], "checks": ["THEOREM"],
+      "mutations": {"sequences": [[1] * 50_000, [1] * 50_001]}}, "100000 mutation steps"),
+    ({"cartan": "G2", "word": [1, 2, 1, 2, 1, 2], "checks": ["LAMBDA"]}, "67582 words"),
+    ({"cartan": A4, "word": A4_W0, "checks": ["THEOREM"]}, "372096 words"),
+], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
@@ -473,6 +496,65 @@ def test_seeds_built_once_per_sequence(monkeypatch, orders):
     assert len(calls) == sum(1 for seq in c.sequences if seq) == 9
     assert len(report["checks"]) == len(orders) * len(c.sequences)
     assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
+
+
+def a3_sequences_doc(sequences):
+    return {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
+            "mutations": {"sequences": sequences},
+            "exponents": {"vectors": [[0, 1, 0, 0, 0, 1]]}, "checks": ["THEOREM"]}
+
+
+@pytest.mark.parametrize("sequences, steps", [
+    ([[1, 2, 1], [1, 2, 3]], 6),                # no prefix listed: two walks
+    ([[3, 2, 1], [], [2], [2, 3], [2, 3, 1]], 6),  # one walk, then one step each
+])
+def test_seeds_match_mutation_along_each_sequence(monkeypatch, sequences, steps):
+    calls = []
+    mutate = cli.mutate_seed
+
+    def counting(seed, pos):
+        calls.append(pos)
+        return mutate(seed, pos)
+
+    monkeypatch.setattr(cli, "mutate_seed", counting)
+    c = Campaign.from_dict(a3_sequences_doc(sequences))
+    lam = SkewForm(cli.commutation_matrix(c.datum, c.word))
+    seeds = cli._build_seeds(c.datum, c.word, lam, c.sequences)
+    assert len(calls) == steps
+    for seq in c.sequences:
+        want = seed_from_word(c.datum, c.word, lam)
+        for pos in seq:
+            want = mutate(want, pos)
+        assert seeds[seq] == want, seq
+
+
+def test_engine_error_carried_along_a_walk(monkeypatch):
+    mutate = cli.mutate_seed
+
+    def failing_at_two(seed, pos):
+        if pos == 1:
+            raise NonExactDivision("no quotient")
+        return mutate(seed, pos)
+
+    monkeypatch.setattr(cli, "mutate_seed", failing_at_two)
+    c = Campaign.from_dict(a3_sequences_doc([[1, 2, 1], [1, 2, 1, 3], [3, 1]]))
+    lam = SkewForm(cli.commutation_matrix(c.datum, c.word))
+    seeds = cli._build_seeds(c.datum, c.word, lam, c.sequences)
+    error = seeds[(0, 1, 0)]
+    assert isinstance(error, NonExactDivision)
+    assert seeds[(0, 1, 0, 2)] is error
+    root = seed_from_word(c.datum, c.word, lam)
+    assert seeds[(2, 0)] == mutate(mutate(root, 2), 0)
+
+
+def test_long_listed_sequence_runs():
+    # 1,000 steps, charged their length; one seed per listed sequence
+    c = Campaign.from_dict({"cartan": "B2", "word": [1, 2, 1, 2], "l_values": [3],
+                            "mutations": {"sequences": [[1, 2] * 500]},
+                            "exponents": {"vectors": [[1, 2, 0, 1]]},
+                            "checks": ["THEOREM"]})
+    records = run(c)["checks"]
+    assert [(r["verdict"], r["checked"]) for r in records] == [("PASS", 2)]
 
 
 def test_main_out_file_and_env_dir(tmp_path, monkeypatch):
