@@ -22,18 +22,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .cluster import (IncompatibleLambdaError, NotCompatibleError,
-                      btilde_from_word, check_compatible, mutate_seed,
-                      seed_from_word)
+from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
+                      mutate_seed, seed_from_word)
 from .coeff import ExactDivisionError
 from .frobsplit import (TheoremSession, check_split_axioms,
                         random_torus_element, reduction_commutes,
                         require_valid_order)
-from .qtorus import NonExactDivision, PrimeField, SkewForm, is_prime
+from .qtorus import PrimeField, SkewForm, is_prime
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
                   check_minor_power, commutation_matrix, divided_word_count,
-                  word_count)
+                  split_count, word_count)
 
 KNOWN_CHECKS = ("LAMBDA", "THEOREM", "BASE_CASE", "KKKO", "SPLIT_AXIOMS", "REDUCTION")
 
@@ -42,15 +41,19 @@ _VECTOR_CAP = 200_000
 # sequences, or sequences times depth when they are enumerated.  A seed is
 # built by at most that many mutations and keeps none of its history.
 _MUTATION_CAP = 100_000
-# Words commutation_matrix may evaluate both minor products on, summed over
-# the pairs of minors; the A3 longest word needs 816.
-_LAMBDA_CAP = 20_000
+# Coproduct splits commutation_matrix may evaluate, summed over the pairs of
+# minors and the words of their weight.  One split cost 3-11 us on 2 cores
+# where one word cost 0.18-18 ms; the A3 longest word needs 14,208 splits.
+_LAMBDA_CAP = 2_000_000
 # Divided words one BASE_CASE check may enumerate.
 _MINOR_CAP = 1_000_000
 # The cost of one KKKO check, in words times l^4: raising a minor to the
 # l-th power makes each word's value about l^4 times as expensive.  At
 # l = 3 this admits the 10^6 words BASE_CASE admits in divided words.
 _KKKO_CAP = 81 * _MINOR_CAP
+# The cost of SPLIT_AXIOMS at its largest prime p, in trials times p^4: each
+# trial raises random elements to the p-th power.  200 trials pass up to p = 47.
+_SPLIT_CAP = 10 ** 9
 
 # Recorded with every report: why torus-level equality of the exponent maps
 # decides the identity for cluster monomials, including ones with frozen
@@ -274,16 +277,17 @@ class Campaign:
                 datum.inverse()
             except ValueError as exc:
                 raise CampaignError(f"cartan: {exc}") from None
-
-        # commutation_matrix evaluates both products of minors t < k on
-        # every word of weight gamma_t + gamma_k.
-        if lambda_checks & set(checks):
             gammas = [chain_minor_weight(datum, word, t) for t in range(len(word))]
-            n = sum(word_count(gammas[t] + gammas[k])
-                    for k in range(len(word)) for t in range(k))
+
+        # commutation_matrix evaluates both products of minors t < k on every
+        # word of weight gamma_t + gamma_k, each through the word's splits
+        # whose right part has the weight of the right factor.
+        if lambda_checks & set(checks):
+            n = sum(word_count(a + b) * (split_count(a + b, a) + split_count(a + b, b))
+                    for a, b in itertools.combinations(gammas, 2))
             if n > _LAMBDA_CAP:
                 raise CampaignError(
-                    f"checks: the commutation form needs {n} words, more than "
+                    f"checks: the commutation form needs {n} splits, more than "
                     f"{_LAMBDA_CAP}; give it as lambda, without the LAMBDA check")
 
         # A minor check costs its words or divided words, times l^4 for
@@ -294,8 +298,7 @@ class Campaign:
             if check not in checks:
                 continue
             worst = (0, 0, 0, 0)
-            for t in range(len(word)):
-                gamma = chain_minor_weight(datum, word, t)
+            for t, gamma in enumerate(gammas):
                 for l in raw_l:
                     n = count(l * gamma)
                     if n * l ** power > worst[0]:
@@ -317,6 +320,12 @@ class Campaign:
         rng_seed = doc.get("rng_seed", 0)
         if not _is_int(rng_seed):
             raise CampaignError("rng_seed: must be an integer")
+        if "SPLIT_AXIOMS" in checks:
+            p = max(filter(is_prime, raw_l), default=0)
+            if trials * p ** 4 > _SPLIT_CAP:
+                raise CampaignError(
+                    f"checks: SPLIT_AXIOMS at p = {p} needs {trials} trials * p^4 = "
+                    f"{trials * p ** 4}, more than {_SPLIT_CAP}")
 
         return cls(label, datum, word, tuple(raw_l), sequences, vectors,
                    checks, lam_config, prefix, trials, rng_seed)
@@ -326,8 +335,7 @@ class Campaign:
 
 # Raised by seed building or the theorem checker on a bad commutation form;
 # the batch records them as a FAIL instead of stopping the campaign.
-_ENGINE_ERRORS = (NonExactDivision, ExactDivisionError, NotCompatibleError,
-                  IncompatibleLambdaError)
+_ENGINE_ERRORS = (ExactDivisionError, NotCompatibleError)
 
 
 def _record(name, params, outcome, millis):

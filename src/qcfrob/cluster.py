@@ -13,11 +13,8 @@ from .rootdatum import CartanData, frozen_split, is_reduced, NonReducedWordError
 
 
 class NotCompatibleError(ValueError):
-    """B^T L failed the diagonal shape required of a compatible pair."""
-
-
-class IncompatibleLambdaError(ValueError):
-    """Supplied commutation matrix does not fit the word's exchange matrix."""
+    """B^T L failed the diagonal shape required of a compatible pair, or a
+    commutation matrix does not fit the word's exchange matrix."""
 
 
 def pos_part(vec):
@@ -75,14 +72,13 @@ def check_compatible(btilde: ExchangeMatrix, lam: SkewForm) -> tuple:
 
     Rows of the product are indexed by exchangeable positions; the entry at
     the matching position must be positive and every other entry zero.
+    Row j of B^T L is -L b_j for the exchange column b_j, as L is skew.
     """
     if lam.r != btilde.nrows:
         raise ValueError("form size does not match exchange matrix rows")
     d = []
     for j, pos in enumerate(btilde.cols):
-        col = [row[j] for row in btilde.rows]
-        for i in range(btilde.nrows):
-            val = sum(col[t] * lam.mat[t][i] for t in range(btilde.nrows) if col[t])
+        for i, val in enumerate(-x for x in lam.image([row[j] for row in btilde.rows])):
             if i == pos:
                 if val <= 0:
                     raise NotCompatibleError(
@@ -94,34 +90,26 @@ def check_compatible(btilde: ExchangeMatrix, lam: SkewForm) -> tuple:
 
 
 def mutate_pair(btilde: ExchangeMatrix, lam: SkewForm, pos: int):
-    """One matrix mutation of the compatible pair at an exchangeable position."""
-    r = btilde.nrows
-    cols = btilde.cols
+    """One matrix mutation of the compatible pair at an exchangeable position k.
+
+    B~ mutates entrywise: b'_ij = -b_ij in row or column k, otherwise
+    b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2.  L' = E^T L E, read off as
+    L'_ij = L(E e_i, E e_j); E is the identity but in column k, which holds
+    -1 at k and max(0, -b_ik) in row i (Berenstein-Zelevinsky's E_+).
+    """
     kc = btilde.slot(pos)
     bcol = btilde.column(pos)
     brow = btilde.rows[pos]
     if bcol[pos] != 0:
         raise ValueError(f"exchange column {pos} must vanish at its own position")
-
-    # E acts on the row index set, F on the column slots
-    E = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r):
-        E[i][pos] = -1 if i == pos else max(0, -bcol[i])
-    F = [[1 if i == j else 0 for j in range(len(cols))] for i in range(len(cols))]
-    for j in range(len(cols)):
-        F[kc][j] = -1 if j == kc else max(0, brow[j])
-
-    eb = [[sum(E[i][t] * btilde.rows[t][j] for t in range(r))
-           for j in range(len(cols))] for i in range(r)]
-    new_rows = [[sum(eb[i][t] * F[t][j] for t in range(len(cols)))
-                 for j in range(len(cols))] for i in range(r)]
-
-    lm = lam.mat
-    le = [[sum(lm[i][t] * E[t][j] for t in range(r)) for j in range(r)]
-          for i in range(r)]
-    new_lam = [[sum(E[t][i] * le[t][j] for t in range(r)) for j in range(r)]
-               for i in range(r)]
-    return ExchangeMatrix(new_rows, cols), SkewForm(new_lam)
+    new_rows = [[-b if i == pos or j == kc
+                 else b + (abs(row[kc]) * brow[j] + row[kc] * abs(brow[j])) // 2
+                 for j, b in enumerate(row)]
+                for i, row in enumerate(btilde.rows)]
+    ecols = [tuple(int(i == t) for i in range(btilde.nrows)) for t in range(btilde.nrows)]
+    ecols[pos] = tuple(-1 if i == pos else max(0, -b) for i, b in enumerate(bcol))
+    return (ExchangeMatrix(new_rows, btilde.cols),
+            SkewForm([[lam(a, b) for b in ecols] for a in ecols]))
 
 
 def btilde_from_word(datum: CartanData, word) -> ExchangeMatrix:
@@ -168,11 +156,10 @@ def btilde_from_word(datum: CartanData, word) -> ExchangeMatrix:
 class QuantumSeed:
     """Compatible pair plus cluster variables expanded in the initial torus."""
 
-    __slots__ = ("datum", "word", "btilde", "lam", "variables", "d")
+    __slots__ = ("datum", "btilde", "lam", "variables", "d")
 
-    def __init__(self, datum, word, btilde, lam, variables):
+    def __init__(self, datum, btilde, lam, variables):
         self.datum = datum
-        self.word = word
         self.btilde = btilde
         self.lam = lam
         self.variables = list(variables)
@@ -205,20 +192,16 @@ def seed_from_word(datum: CartanData, word, lam) -> QuantumSeed:
     if not isinstance(lam, SkewForm):
         lam = SkewForm(lam)
     if lam.r != len(word):
-        raise IncompatibleLambdaError("commutation matrix size differs from word length")
-    try:
-        d = check_compatible(btilde, lam)
-    except NotCompatibleError as exc:
-        raise IncompatibleLambdaError(str(exc)) from exc
-    for j, pos in enumerate(btilde.cols):
-        want = 2 * datum.sym[word[pos]]
-        if d[j] != want:
-            raise IncompatibleLambdaError(
-                f"diagonal entry {d[j]} at position {pos}, expected {want}")
+        raise NotCompatibleError("commutation matrix size differs from word length")
     ring = LaurentRing()
     gens = [TorusElement.monomial(ring, lam, tuple(int(i == t) for i in range(len(word))))
             for t in range(len(word))]
-    return QuantumSeed(datum, word, btilde, lam, gens)
+    seed = QuantumSeed(datum, btilde, lam, gens)
+    for d, pos in zip(seed.d, btilde.cols):
+        want = 2 * datum.sym[word[pos]]
+        if d != want:
+            raise NotCompatibleError(f"diagonal entry {d} at position {pos}, expected {want}")
+    return seed
 
 
 def mutate_seed(seed: QuantumSeed, pos: int) -> QuantumSeed:
@@ -241,7 +224,7 @@ def mutate_seed(seed: QuantumSeed, pos: int) -> QuantumSeed:
     new_btilde, new_lam = mutate_pair(seed.btilde, seed.lam, pos)
     new_vars = list(seed.variables)
     new_vars[pos] = new_var
-    return QuantumSeed(seed.datum, seed.word, new_btilde, new_lam, new_vars)
+    return QuantumSeed(seed.datum, new_btilde, new_lam, new_vars)
 
 
 def cluster_monomial(seed: QuantumSeed, a) -> TorusElement:

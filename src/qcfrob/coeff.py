@@ -94,18 +94,6 @@ class IntLaurent:
                 out[e] = out.get(e, 0) + c1 * c2
         return IntLaurent(out)
 
-    def __pow__(self, n: int) -> "IntLaurent":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = IntLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, n: int) -> "IntLaurent":
         return IntLaurent({e: n * c for e, c in self.terms.items()})
 

@@ -62,17 +62,19 @@ def fr_star(f: TorusElement) -> TorusElement:
     return TorusElement(out, f.form, terms)
 
 
+def _divide_exponents(f: TorusElement, d: int, ring) -> TorusElement:
+    """Keep the monomials of f with all exponents divisible by d, divide
+    those by d, kill everything else; the result lives over ring."""
+    return TorusElement(ring, f.form, {tuple(x // d for x in a): c
+                                       for a, c in f.terms.items()
+                                       if all(x % d == 0 for x in a)})
+
+
 def frp_star(f: TorusElement) -> TorusElement:
     """Split back from the v=eps torus: keep monomials with all exponents
     divisible by l, divide those by l, kill everything else."""
-    ring = _cyclo_ring(f, Point.EPS)
-    l = ring.l
-    out = CycloRing(l, Point.ONE)
-    terms = {}
-    for a, c in f.terms.items():
-        if all(x % l == 0 for x in a):
-            terms[tuple(x // l for x in a)] = c
-    return TorusElement(out, f.form, terms)
+    l = _cyclo_ring(f, Point.EPS).l
+    return _divide_exponents(f, l, CycloRing(l, Point.ONE))
 
 
 def modp_split(f: TorusElement) -> TorusElement:
@@ -81,15 +83,9 @@ def modp_split(f: TorusElement) -> TorusElement:
 
     Coefficients are fixed since x -> x^p is the identity on F_p.
     """
-    ring = f.ring
-    if not isinstance(ring, PrimeField):
+    if not isinstance(f.ring, PrimeField):
         raise ValueError("expected a mod-p torus element")
-    p = ring.p
-    terms = {}
-    for a, c in f.terms.items():
-        if all(x % p == 0 for x in a):
-            terms[tuple(x // p for x in a)] = c
-    return TorusElement(ring, f.form, terms)
+    return _divide_exponents(f, f.ring.p, f.ring)
 
 
 def embed_padded(f: TorusElement, wide_form: SkewForm) -> TorusElement:
@@ -295,17 +291,17 @@ def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:
 
 # -- randomized property material ------------------------------------------
 
-def random_torus_element(rng, ring, form: SkewForm, *, nterms=3, span=2, coeff_span=4):
-    """Small random element for property trials; coefficients exercise the
-    whole ring (all powers of eps over a cyclotomic ring)."""
+def random_torus_element(rng, ring, form: SkewForm, *, nterms=3):
+    """Small random element for property trials: exponents in -2..2,
+    coefficients exercising the whole ring (all powers of eps over a
+    cyclotomic ring) with integer entries in -4..4."""
     out = TorusElement.zero(ring, form)
     for _ in range(nterms):
-        a = tuple(rng.randint(-span, span) for _ in range(form.r))
+        a = tuple(rng.randint(-2, 2) for _ in range(form.r))
         if isinstance(ring, CycloRing):
-            c = CycloInt(ring.l, [rng.randint(-coeff_span, coeff_span)
-                                  for _ in range(ring.l - 1)])
+            c = CycloInt(ring.l, [rng.randint(-4, 4) for _ in range(ring.l - 1)])
         else:
-            c = ring.from_int(rng.randint(-coeff_span, coeff_span))
+            c = ring.from_int(rng.randint(-4, 4))
         if not ring.is_zero(c):
             out = out + TorusElement.monomial(ring, form, a, c)
     return out

@@ -15,10 +15,6 @@ from operator import add, mul
 from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 
 
-class NonExactDivision(ArithmeticError):
-    """Right division had no solution in the torus over this coefficient ring."""
-
-
 # -- coefficient ring adapters --------------------------------------------
 #
 # A ring adapter bundles the constants, the image of v, the fused product
@@ -315,8 +311,7 @@ class TorusElement:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
+            if n > 1:
                 base = base * base
             n >>= 1
         return result
@@ -324,7 +319,7 @@ class TorusElement:
     def inv_monomial(self):
         """Inverse of a single monomial c x^a; (c x^a)(c^-1 x^-a) = 1 since L(a,a) = 0."""
         if len(self.terms) != 1:
-            raise NonExactDivision("only monomials can be inverted")
+            raise ExactDivisionError("only monomials can be inverted")
         (a, c), = self.terms.items()
         inv = self.ring.inv_unit(c)
         return TorusElement(self.ring, self.form, {tuple(-x for x in a): inv})
@@ -361,7 +356,7 @@ def normal_product(variables, cluster_form: SkewForm, a) -> TorusElement:
 
 
 def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
-    """Solve h * f = g in the torus; raise NonExactDivision when no h exists.
+    """Solve h * f = g in the torus; raise ExactDivisionError when no h exists.
 
     Works by cancelling lex-leading terms.  Candidate exponents of h are
     confined to the box [min(g) - min(f), max(g) - max(f)] taken
@@ -387,11 +382,11 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
         lm_r = max(rem)
         t = tuple(x - y for x, y in zip(lm_r, lm_f))
         if any(not lo[i] <= t[i] <= hi[i] for i in range(r)):
-            raise NonExactDivision(f"required exponent {t} escapes the quotient box")
+            raise ExactDivisionError(f"required exponent {t} escapes the quotient box")
         try:
             c = ring.div(rem[lm_r], ring.mul_v(lc_f, ring.one(), form(t, lm_f)))
         except ExactDivisionError as exc:
-            raise NonExactDivision(f"coefficient not divisible: {exc}") from exc
+            raise ExactDivisionError(f"coefficient not divisible: {exc}") from exc
         quot[t] = c
         for b, cb, mb in f_terms:
             key = tuple(map(add, t, b))

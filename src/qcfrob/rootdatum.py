@@ -20,42 +20,32 @@ class NonReducedWordError(ValueError):
 
 
 @dataclass(frozen=True)
-class Weight:
-    """Integral weight in the basis of fundamental weights."""
+class _Coords:
+    """Integer coordinate vector; sums, differences and integer multiples
+    keep the subclass."""
 
     coords: tuple[int, ...]
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+    def __rmul__(self, n: int):
+        return type(self)(tuple(n * a for a in self.coords))
 
-    def __rmul__(self, n: int) -> "Weight":
-        return Weight(tuple(n * a for a in self.coords))
+
+class Weight(_Coords):
+    """Integral weight in the basis of fundamental weights."""
 
     @property
     def is_dominant(self) -> bool:
         return all(a >= 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(_Coords):
     """Element of the root lattice in the basis of simple roots."""
-
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rmul__(self, n: int) -> "RootVector":
-        return RootVector(tuple(n * a for a in self.coords))
 
     @property
     def is_positive(self) -> bool:

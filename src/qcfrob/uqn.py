@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
 from .rootdatum import CartanData, RootVector, Weight
@@ -71,6 +71,13 @@ def word_count(gamma: RootVector) -> int:
     for c in gamma.coords:
         out //= factorial(c)
     return out
+
+
+def split_count(gamma: RootVector, right: RootVector) -> int:
+    """Number of splits of one word of weight gamma whose right part has
+    weight right: the positions of each letter i sent right are any right_i
+    of its gamma_i."""
+    return prod(map(comb, gamma.coords, right.coords))
 
 
 # -- twisted coproduct -----------------------------------------------------
@@ -219,14 +226,13 @@ def extremal_fword(datum: CartanData, hw: Weight, word):
 class Functional:
     """Weight-homogeneous functional on the free algebra, cached per word."""
 
-    __slots__ = ("datum", "gamma", "_fn", "_cache", "label")
+    __slots__ = ("datum", "gamma", "_fn", "_cache")
 
-    def __init__(self, datum, gamma: RootVector, fn, label=""):
+    def __init__(self, datum, gamma: RootVector, fn):
         self.datum = datum
         self.gamma = gamma
         self._fn = fn
         self._cache: dict = {}
-        self.label = label
 
     def __call__(self, word) -> IntLaurent:
         word = tuple(word)
@@ -251,12 +257,12 @@ class Functional:
         return out
 
     def __repr__(self):
-        return f"Functional({self.label or 'anon'}, gamma={self.gamma.coords})"
+        return f"Functional(gamma={self.gamma.coords})"
 
 
 def counit(datum: CartanData) -> Functional:
     zero_wt = RootVector((0,) * datum.n)
-    return Functional(datum, zero_wt, lambda word: IntLaurent.one(), label="counit")
+    return Functional(datum, zero_wt, lambda word: IntLaurent.one())
 
 
 def functional_mul(phi: Functional, psi: Functional) -> Functional:
@@ -285,8 +291,7 @@ def functional_mul(phi: Functional, psi: Functional) -> Functional:
                     acc[e] = acc.get(e, 0) + ca * cb
         return IntLaurent(acc)
 
-    label = f"{phi.label or 'phi'}*{psi.label or 'psi'}"
-    return Functional(datum, phi.gamma + psi.gamma, fn, label=label)
+    return Functional(datum, phi.gamma + psi.gamma, fn)
 
 
 def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Functional:
@@ -310,8 +315,7 @@ def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Function
         val = word_act(datum, hw, word, target, cache).get(())
         return IntLaurent.zero() if val is None else val.exact_div(divisor)
 
-    return Functional(datum, gamma, fn,
-                      label=f"D(hw={hw.coords}, w={prefix})")
+    return Functional(datum, gamma, fn)
 
 
 def cell_minors(datum: CartanData, word) -> list:

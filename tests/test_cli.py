@@ -14,8 +14,8 @@ from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
 from qcfrob.cluster import seed_from_word
-from qcfrob.coeff import qint
-from qcfrob.qtorus import NonExactDivision, SkewForm
+from qcfrob.coeff import ExactDivisionError, qint
+from qcfrob.qtorus import SkewForm
 
 # --format json --deterministic reports of the two configs in
 # test_main_jobs_matches_serial, kept byte for byte so a refactor that changes
@@ -151,11 +151,13 @@ def test_campaign_defaults_and_word_conversion():
     # listed sequences are charged their total length, here 100,001 steps
     (a2_doc(mutations={"sequences": [[1] * 50_000, [1] * 50_001]}),
      "sequences need more than 100000 mutation steps"),
-    # a commutation form computed from more than 20,000 words
+    # a commutation form computed through more than 2,000,000 splits
     (a2_doc(cartan="G2", word=[1, 2, 1, 2, 1, 2], l_values=[5], checks=["LAMBDA"]),
-     "commutation form needs 67582 words"),
+     "commutation form needs 3326542390 splits"),
     (a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"]),
-     "commutation form needs 372096 words"),
+     "commutation form needs 69980688 splits"),
+    (a2_doc(cartan="G2", word=[2, 1, 2, 1, 2], l_values=[5], checks=["LAMBDA"]),
+     "commutation form needs 80128152 splits"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -168,8 +170,17 @@ def test_given_form_is_not_charged_without_lambda_check():
     doc = a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"],
                  **{"lambda": [[0] * 10 for _ in range(10)]})
     assert Campaign.from_dict(doc).lam_config == ((0,) * 10,) * 10
-    with pytest.raises(CampaignError, match="needs 372096 words"):
+    with pytest.raises(CampaignError, match="needs 69980688 splits"):
         Campaign.from_dict({**doc, "checks": ["LAMBDA", "THEOREM"]})
+
+
+def test_charges_under_their_caps_validate():
+    # 14,208 and 964,960 splits; 200 trials * 31^4 = 184,704,200
+    a3 = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1]}
+    Campaign.from_dict({**a3, "checks": ["LAMBDA"]})
+    Campaign.from_dict({"cartan": "G2", "word": [1, 2, 1, 2], "l_values": [5],
+                        "checks": ["LAMBDA"]})
+    Campaign.from_dict({**a3, "l_values": [31], "checks": ["SPLIT_AXIOMS"]})
 
 
 def test_campaign_custom_cartan():
@@ -424,9 +435,14 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
       "mutations": {"depth": 30}, "checks": ["THEOREM"]}, "depth 30"),
     ({"cartan": "A2", "word": [1, 2, 1], "checks": ["THEOREM"],
       "mutations": {"sequences": [[1] * 50_000, [1] * 50_001]}}, "100000 mutation steps"),
-    ({"cartan": "G2", "word": [1, 2, 1, 2, 1, 2], "checks": ["LAMBDA"]}, "67582 words"),
-    ({"cartan": A4, "word": A4_W0, "checks": ["THEOREM"]}, "372096 words"),
-], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0"])
+    ({"cartan": "G2", "word": [1, 2, 1, 2, 1, 2], "checks": ["LAMBDA"]}, "3326542390 splits"),
+    ({"cartan": A4, "word": A4_W0, "checks": ["THEOREM"]}, "69980688 splits"),
+    ({"cartan": "G2", "word": [2, 1, 2, 1, 2], "l_values": [5], "checks": ["LAMBDA"]},
+     "80128152 splits"),
+    ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [101],
+      "checks": ["SPLIT_AXIOMS"]}, "SPLIT_AXIOMS at p = 101 needs 200 trials"),
+], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0",
+        "lambda-g2-21212", "split-a3-p101"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
@@ -467,7 +483,7 @@ def test_inexact_minor_division_is_a_fail_record(tmp_path, capsys, monkeypatch):
 
 def test_engine_error_stands_in_for_seed(monkeypatch):
     def failing(seed, pos):
-        raise NonExactDivision("no quotient")
+        raise ExactDivisionError("no quotient")
 
     monkeypatch.setattr(cli, "mutate_seed", failing)
     c = Campaign.from_dict(a2_doc(checks=["THEOREM"],
@@ -533,7 +549,7 @@ def test_engine_error_carried_along_a_walk(monkeypatch):
 
     def failing_at_two(seed, pos):
         if pos == 1:
-            raise NonExactDivision("no quotient")
+            raise ExactDivisionError("no quotient")
         return mutate(seed, pos)
 
     monkeypatch.setattr(cli, "mutate_seed", failing_at_two)
@@ -541,7 +557,7 @@ def test_engine_error_carried_along_a_walk(monkeypatch):
     lam = SkewForm(cli.commutation_matrix(c.datum, c.word))
     seeds = cli._build_seeds(c.datum, c.word, lam, c.sequences)
     error = seeds[(0, 1, 0)]
-    assert isinstance(error, NonExactDivision)
+    assert isinstance(error, ExactDivisionError)
     assert seeds[(0, 1, 0, 2)] is error
     root = seed_from_word(c.datum, c.word, lam)
     assert seeds[(2, 0)] == mutate(mutate(root, 2), 0)

@@ -8,7 +8,6 @@ import sympy
 from qcfrob.coeff import IntLaurent
 from qcfrob.cluster import (
     ExchangeMatrix,
-    IncompatibleLambdaError,
     NotCompatibleError,
     QuantumSeed,
     btilde_from_word,
@@ -22,6 +21,7 @@ from qcfrob.qtorus import LaurentRing, SkewForm, TorusElement
 from qcfrob.rootdatum import NonReducedWordError, cartan_preset
 
 from _classical import classical_mutate_matrix, classical_mutate_vars, torus_at_one
+from _seeds import cell_form
 
 A2 = cartan_preset("A2")
 A3 = cartan_preset("A3")
@@ -107,6 +107,53 @@ def test_mutate_pair_matches_classical_formula():
         assert new_bt.rows == classical_mutate_matrix(rows, cols, pos)
 
 
+# commutation_matrix of G2 on (0, 1, 0, 1), pinned because it takes seconds
+# to compute; seed_from_word checks that it is compatible with diagonal 2 t_i
+G2_LAMBDA = ((0, -3, -1, -3), (3, 0, 0, -3), (1, 0, 0, -3), (3, 3, 3, 0))
+
+
+def dense_mutate_pair(btilde, lam, pos):
+    """Mutation by the dense products B~' = E B~ F and L' = E^T L E."""
+    r = btilde.nrows
+    cols = btilde.cols
+    kc = btilde.slot(pos)
+    bcol = btilde.column(pos)
+    brow = btilde.rows[pos]
+    E = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i in range(r):
+        E[i][pos] = -1 if i == pos else max(0, -bcol[i])
+    F = [[1 if i == j else 0 for j in range(len(cols))] for i in range(len(cols))]
+    for j in range(len(cols)):
+        F[kc][j] = -1 if j == kc else max(0, brow[j])
+    eb = [[sum(E[i][t] * btilde.rows[t][j] for t in range(r))
+           for j in range(len(cols))] for i in range(r)]
+    new_rows = [[sum(eb[i][t] * F[t][j] for t in range(len(cols)))
+                 for j in range(len(cols))] for i in range(r)]
+    le = [[sum(lam.mat[i][t] * E[t][j] for t in range(r)) for j in range(r)]
+          for i in range(r)]
+    new_lam = [[sum(E[t][i] * le[t][j] for t in range(r)) for j in range(r)]
+               for i in range(r)]
+    return ExchangeMatrix(new_rows, cols), SkewForm(new_lam)
+
+
+@pytest.mark.parametrize("preset, word", [
+    ("A2", (0, 1, 0)), ("A3", (0, 1, 0, 2, 1, 0)), ("A3", (1, 0, 2, 1)),
+    ("B2", (0, 1, 0, 1)), ("B2", (1, 0, 1, 0)), ("G2", (0, 1, 0, 1)),
+])
+def test_mutate_pair_matches_dense_products(preset, word):
+    # 30 random walks of 8 mutations from the word's seed
+    lam = SkewForm(G2_LAMBDA) if preset == "G2" else cell_form(preset, word)
+    seed = seed_from_word(cartan_preset(preset), word, lam)
+    rng = random.Random(f"{preset}:{word}")
+    for _ in range(30):
+        bt, form = seed.btilde, seed.lam
+        for _ in range(8):
+            pos = rng.choice(bt.cols)
+            got = mutate_pair(bt, form, pos)
+            assert got == dense_mutate_pair(bt, form, pos), (bt, form, pos)
+            bt, form = got
+
+
 def test_mutate_pair_involutive_on_compatible_square():
     bt = ExchangeMatrix(((0, 1), (-1, 0)), (0, 1))
     lam = SkewForm(((0, 1), (-1, 0)))
@@ -121,13 +168,13 @@ def test_mutate_pair_involutive_on_compatible_square():
 def test_seed_from_word_validates_lambda():
     seed = seed_from_word(A2, (0, 1, 0), A2_LAMBDA)
     assert seed.d == (2,)
-    with pytest.raises(IncompatibleLambdaError):
+    with pytest.raises(NotCompatibleError):
         seed_from_word(A2, (0, 1, 0), ((0, 1), (-1, 0)))
     negated = tuple(tuple(-x for x in row) for row in A2_LAMBDA)
-    with pytest.raises(IncompatibleLambdaError):
+    with pytest.raises(NotCompatibleError):
         seed_from_word(A2, (0, 1, 0), negated)
     doubled = tuple(tuple(2 * x for x in row) for row in A2_LAMBDA)
-    with pytest.raises(IncompatibleLambdaError):
+    with pytest.raises(NotCompatibleError):
         seed_from_word(A2, (0, 1, 0), doubled)
 
 
@@ -186,7 +233,7 @@ def test_rank_two_pattern_is_periodic():
     lam = SkewForm(((0, 1), (-1, 0)))
     gens = [TorusElement.monomial(LR, lam, (1, 0)),
             TorusElement.monomial(LR, lam, (0, 1))]
-    seed = QuantumSeed(None, None, bt, lam, gens)
+    seed = QuantumSeed(None, bt, lam, gens)
     cur = seed
     seen = []
     for step in range(10):
@@ -212,7 +259,7 @@ def test_quantum_mutation_classicalizes():
     lam = SkewForm(((0, 1), (-1, 0)))
     gens = [TorusElement.monomial(LR, lam, (1, 0)),
             TorusElement.monomial(LR, lam, (0, 1))]
-    qseed = QuantumSeed(None, None, bt, lam, gens)
+    qseed = QuantumSeed(None, bt, lam, gens)
     z = sympy.symbols("z0:2")
     rows2 = [list(r) for r in bt.rows]
     exprs2 = list(z)

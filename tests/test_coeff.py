@@ -49,14 +49,6 @@ def test_laurent_ring_axioms_random():
         assert (a - b) + b == a
 
 
-def test_laurent_pow():
-    f = IntLaurent.v_power(1) + IntLaurent.v_power(-1)
-    assert f ** 2 == L({2: 1, 0: 2, -2: 1})
-    assert f ** 0 == IntLaurent.one()
-    with pytest.raises(ValueError):
-        f ** -1
-
-
 def test_exact_div_roundtrip_random():
     rng = random.Random(23)
     done = 0

@@ -20,6 +20,7 @@ from qcfrob.uqn import (
     extremal_fword,
     fr_divided,
     quantum_minor,
+    split_count,
     splits_with_right_weight,
     word_count,
     word_splits,
@@ -306,6 +307,15 @@ def test_restricted_splits_match_word_splits(name, words):
         for gamma in {word_weight(datum, rw) for _, rw, _ in full}:
             want = Counter(s for s in full if word_weight(datum, s[1]) == gamma)
             assert Counter(splits_with_right_weight(datum, word, gamma)) == want
+
+
+def test_split_count_without_enumeration():
+    for datum in (A2, B2, G2):
+        for word in [(0, 0, 1, 0), (1, 0, 1, 1, 0)]:
+            gamma = word_weight(datum, word)
+            for right in [RootVector((a, b)) for a in range(4) for b in range(3)]:
+                assert split_count(gamma, right) == len(list(
+                    splits_with_right_weight(datum, word, right)))
 
 
 @pytest.mark.parametrize("name, word", [
