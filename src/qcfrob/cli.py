@@ -109,6 +109,13 @@ def enumerate_mutation_sequences(positions, depth: int):
     return out
 
 
+def _computes_form(checks, lam_config) -> bool:
+    """Whether a run computes the commutation form with the minor model: for
+    LAMBDA, and for the seeds and mod-p checks when the config gives none."""
+    return "LAMBDA" in checks or (lam_config is None and bool(
+        {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"} & set(checks)))
+
+
 def mutation_sequence_count(k: int, depth: int) -> int:
     """len(enumerate_mutation_sequences(positions, depth)) for k positions,
     in closed form: 1 + k((k-1)^d - 1)/(k-2), or 1 + 2d when k = 2."""
@@ -125,7 +132,7 @@ class Campaign:
     sequences: tuple
     vectors: tuple
     checks: tuple
-    lam_config: tuple | None
+    lam_config: SkewForm | None
     reduction_prefix: int
     trials: int
     rng_seed: int
@@ -261,18 +268,15 @@ class Campaign:
                 lam_config = tuple(tuple(row) for row in lam_config)
                 if not all(_is_int(x) for row in lam_config for x in row):
                     raise TypeError("entries must be integers")
-                SkewForm(lam_config)
+                lam_config = SkewForm(lam_config)
             except (ValueError, TypeError) as exc:
                 raise CampaignError(f"lambda: {exc}") from None
-            if len(lam_config) != len(word):
+            if lam_config.r != len(word):
                 raise CampaignError("lambda: size does not match the word")
 
-        # The minor model pairs weights through the inverse Cartan matrix,
-        # and it computes the form for the seeds when the config gives none.
-        lambda_checks = {"LAMBDA"}
-        if lam_config is None:
-            lambda_checks |= {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"}
-        if (lambda_checks | {"BASE_CASE", "KKKO"}) & set(checks):
+        # The minor model pairs weights through the inverse Cartan matrix.
+        computes_form = _computes_form(checks, lam_config)
+        if computes_form or {"BASE_CASE", "KKKO"} & set(checks):
             try:
                 datum.inverse()
             except ValueError as exc:
@@ -282,7 +286,7 @@ class Campaign:
         # commutation_matrix evaluates both products of minors t < k on every
         # word of weight gamma_t + gamma_k, each through the word's splits
         # whose right part has the weight of the right factor.
-        if lambda_checks & set(checks):
+        if computes_form:
             n = sum(word_count(a + b) * (split_count(a + b, a) + split_count(a + b, b))
                     for a, b in itertools.combinations(gammas, 2))
             if n > _LAMBDA_CAP:
@@ -384,22 +388,17 @@ def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
 
 
 # The SeedExpander power table of this process, shared by every theorem
-# batch it runs: set by run on the serial path and cleared when run ends, or
-# set by the pool initializer in each worker, which ends with the pool.
-# Powers are exact and keyed by the element raised, so no report depends on
-# which process ran which batch.
-_POWERS: dict | None = None
+# batch it runs and empty outside a run: run empties it when it ends, and a
+# pool worker starts from the empty table it forks or imports.  Powers are
+# exact and keyed by the element raised, so no report depends on which
+# process ran which batch.
+_POWERS: dict = {}
 # Entries the table may hold when a batch starts; past it the table is
 # emptied.  On a cell of finite cluster type a few variables recur and the
 # table stays small (theorem-scatter, 94 seeds, ends at 240 entries); on a
 # cell of infinite type each mutation makes new variables, and without the
 # cap every power of every one of them would stay until the run ends.
 _POWERS_CAP = 1024
-
-
-def _fresh_powers() -> None:
-    global _POWERS
-    _POWERS = {}
 
 
 def _theorem_batch(seed, l, vectors) -> CheckOutcome:
@@ -409,7 +408,7 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     try:
         if isinstance(seed, Exception):
             raise seed
-        if _POWERS is not None and len(_POWERS) > _POWERS_CAP:
+        if len(_POWERS) > _POWERS_CAP:
             _POWERS.clear()
         session = TheoremSession(seed, l, _POWERS)
         for a in vectors:
@@ -422,55 +421,47 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     return CheckOutcome(True, checked)
 
 
-def _resolve_lambda(campaign: Campaign):
-    """The commutation form the seeds will use, its provenance, and the
-    oracle outcome when the LAMBDA check is requested."""
-    outcome = None
-    computed = None
-    if "LAMBDA" in campaign.checks or campaign.lam_config is None:
-        computed = commutation_matrix(campaign.datum, campaign.word)
-    if "LAMBDA" in campaign.checks:
-        try:
-            bt = btilde_from_word(campaign.datum, campaign.word)
-            d = check_compatible(bt, SkewForm(computed))
-            want = tuple(2 * campaign.datum.sym[campaign.word[k]] for k in bt.cols)
-            if d != want:
-                outcome = CheckOutcome(False, 1,
-                                       witness={"d": list(d), "expected": list(want)})
-            elif campaign.lam_config is not None and campaign.lam_config != computed:
-                outcome = CheckOutcome(False, 2,
-                                       witness={"computed": _jsonable(computed),
-                                                "config": _jsonable(campaign.lam_config)})
-            else:
-                outcome = CheckOutcome(True, 2)
-        except NotCompatibleError as exc:
-            outcome = CheckOutcome(False, 1, note=str(exc))
-    lam = campaign.lam_config if campaign.lam_config is not None else computed
-    source = "config" if campaign.lam_config is not None else "computed"
-    return lam, source, outcome
+def _lambda_oracle(campaign: Campaign, computed: SkewForm) -> CheckOutcome:
+    """The LAMBDA check: the computed form is compatible with the word's
+    exchange matrix, with diagonal 2 t_{i_k}, and equals the config's form
+    when one is given."""
+    try:
+        bt = btilde_from_word(campaign.datum, campaign.word)
+        d = check_compatible(bt, computed)
+    except NotCompatibleError as exc:
+        return CheckOutcome(False, 1, note=str(exc))
+    want = tuple(2 * campaign.datum.sym[campaign.word[k]] for k in bt.cols)
+    if d != want:
+        return CheckOutcome(False, 1, witness={"d": list(d), "expected": list(want)})
+    if campaign.lam_config is not None and campaign.lam_config != computed:
+        return CheckOutcome(False, 2, witness={"computed": _jsonable(computed.mat),
+                                               "config": _jsonable(campaign.lam_config.mat)})
+    return CheckOutcome(True, 2)
 
 
 def run(campaign: Campaign, jobs: int = 1) -> dict:
-    global _POWERS
     checks, datum, word = campaign.checks, campaign.datum, campaign.word
     records = []
     lam = source = None
     # Resolved in this process before any task is built: every seed and
     # every mod-p check needs the form.
-    if {"LAMBDA", "THEOREM", "SPLIT_AXIOMS", "REDUCTION"} & set(checks):
+    if _computes_form(checks, campaign.lam_config):
         t0 = time.perf_counter()
-        lam, source, lam_outcome = _resolve_lambda(campaign)
-        millis = int((time.perf_counter() - t0) * 1000)
-        if lam_outcome is not None:
+        lam, source = SkewForm(commutation_matrix(datum, word)), "computed"
+        if "LAMBDA" in checks:
+            outcome = _lambda_oracle(campaign, lam)
             records.append(_record("lambda-oracle", {"word": [i + 1 for i in word]},
-                                   lam_outcome, millis))
+                                   outcome, int((time.perf_counter() - t0) * 1000)))
+    # Whatever would read a computed form reads the config's when given.
+    if campaign.lam_config is not None and _computes_form(checks, None):
+        lam, source = campaign.lam_config, "config"
 
     # One (name, params, fn, args) task per check, in report order.  The
     # check functions are looked up here, on each call, so wrappers set on
     # this module take effect.
     tasks = []
     if "THEOREM" in checks:
-        seeds = _build_seeds(datum, word, SkewForm(lam), campaign.sequences)
+        seeds = _build_seeds(datum, word, lam, campaign.sequences)
         tasks += [("theorem", {"l": l, "mutations": [k + 1 for k in seq],
                                "exponents": len(campaign.vectors)},
                    _theorem_batch, (seeds[seq], l, campaign.vectors))
@@ -488,12 +479,12 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     trials = campaign.trials
     if "SPLIT_AXIOMS" in checks:
         tasks += [("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
-                   (SkewForm(lam), p, random.Random(f"{campaign.rng_seed}:split:{p}"),
+                   (lam, p, random.Random(f"{campaign.rng_seed}:split:{p}"),
                     trials))
                   for p in primes]
     if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
-        block = SkewForm([[lam[i][j] for j in range(prefix)] for i in range(prefix)])
+        block = SkewForm([row[:prefix] for row in lam.mat[:prefix]])
         for p in primes:
             rng = random.Random(f"{campaign.rng_seed}:reduction:{p}")
             ring = PrimeField(p)
@@ -503,21 +494,19 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
                           {"p": p, "prefix": prefix, "samples": trials},
                           reduction_commutes, (datum, word, prefix, elems)))
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 initializer=_fresh_powers) as pool:
-            records.extend(pool.map(_run_task, tasks))
-    else:
-        _fresh_powers()
-        try:
+    try:
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+                records.extend(pool.map(_run_task, tasks))
+        else:
             records.extend(map(_run_task, tasks))
-        finally:
-            _POWERS = None
+    finally:
+        _POWERS.clear()
 
     meta = {"type": campaign.label,
             "word": [i + 1 for i in word],
-            "lambda": _jsonable(lam),
-            "lambda_source": source if lam is not None else "none",
+            "lambda": _jsonable(lam.mat if lam is not None else None),
+            "lambda_source": source or "none",
             "orders": list(campaign.l_values),
             "note": EXTENSION_NOTE}
     return {"meta": meta, "checks": records}
@@ -580,11 +569,7 @@ def main(argv=None) -> int:
         # Opened before the run, so a bad path costs no campaign.
         out = contextlib.nullcontext(sys.stdout)
         if args.out:
-            path = args.out
-            env_dir = os.environ.get("QCFROB_OUT_DIR")
-            if env_dir and not os.path.isabs(path):
-                path = os.path.join(env_dir, path)
-            out = open(path, "w")
+            out = open(os.path.join(os.environ.get("QCFROB_OUT_DIR", ""), args.out), "w")
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,10 @@ from qcfrob.cluster import seed_from_word
 from qcfrob.coeff import ExactDivisionError, qint
 from qcfrob.qtorus import SkewForm
 
-# --format json --deterministic reports of the two configs in
-# test_main_jobs_matches_serial, kept byte for byte so a refactor that changes
-# any report fails here; regenerate them only with a change meant to alter
-# reports.
+# --format json --deterministic reports, kept byte for byte so a refactor
+# that changes any report fails here: two sample campaigns and the configs
+# of test_main_jobs_matches_serial and test_main_singular_cartan.
+# Regenerate them only with a change meant to alter reports.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -169,7 +169,7 @@ def test_given_form_is_not_charged_without_lambda_check():
     # charge is checked here, not the form
     doc = a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"],
                  **{"lambda": [[0] * 10 for _ in range(10)]})
-    assert Campaign.from_dict(doc).lam_config == ((0,) * 10,) * 10
+    assert Campaign.from_dict(doc).lam_config == SkewForm([[0] * 10] * 10)
     with pytest.raises(CampaignError, match="needs 69980688 splits"):
         Campaign.from_dict({**doc, "checks": ["LAMBDA", "THEOREM"]})
 
@@ -190,6 +190,47 @@ def test_campaign_custom_cartan():
 
 
 # -- running ---------------------------------------------------------------
+
+# The A2 form of the word [1, 2, 1], as the minor model computes it.
+A2_LAMBDA = [[0, -1, 1], [1, 0, 0], [-1, 0, 0]]
+
+
+# LAMBDA listed, lambda given, THEOREM listed -> commutation_matrix calls,
+# meta.lambda_source, and whether the singular affine A1~ matrix is rejected;
+# the lambda-oracle record appears exactly when LAMBDA is listed
+@pytest.mark.parametrize("lam_check, given, theorem, calls, source, singular", [
+    (True, True, True, 1, "config", True),
+    (True, True, False, 1, "config", True),
+    (True, False, True, 1, "computed", True),
+    (True, False, False, 1, "computed", True),
+    (False, True, True, 0, "config", False),
+    (False, True, False, 0, "none", False),
+    (False, False, True, 1, "computed", True),
+    (False, False, False, 0, "none", False),
+])
+def test_form_rule(monkeypatch, lam_check, given, theorem, calls, source, singular):
+    checks = ["LAMBDA"] * lam_check + ["THEOREM"] * theorem
+    seen = []
+    computed = cli.commutation_matrix
+
+    def counting(datum, word):
+        seen.append(word)
+        return computed(datum, word)
+
+    monkeypatch.setattr(cli, "commutation_matrix", counting)
+    form = {"lambda": A2_LAMBDA} if given else {}
+    report = run(Campaign.from_dict(a2_doc(checks=checks, **form)))
+    assert len(seen) == calls
+    assert report["meta"]["lambda_source"] == source
+    names = [rec["name"] for rec in report["checks"]]
+    assert ("lambda-oracle" in names) == lam_check
+    affine = a2_doc(cartan=AFFINE, checks=checks, **({"lambda": AFFINE_LAMBDA} if given else {}))
+    if singular:
+        with pytest.raises(CampaignError, match="singular"):
+            Campaign.from_dict(affine)
+    else:
+        Campaign.from_dict(affine)
+
 
 def test_run_empty_campaign():
     c = Campaign.from_dict(a2_doc(checks=[]))
@@ -325,18 +366,30 @@ def test_main_jobs_matches_serial(tmp_path, capsys):
     assert "engine error" in serial
 
 
+CAMPAIGNS = pathlib.Path(__file__).parent.parent / "campaigns"
+
+
 def test_composite_order_campaign(capsys):
     # the one sample campaign whose eps ring reduces mod a composite Phi_l
-    path = pathlib.Path(__file__).parent.parent / "campaigns" / "a3-order9.json"
-    assert main(["--config", str(path), "--format", "json"]) == 0
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    path = CAMPAIGNS / "a3-order9.json"
+    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "a3-order9.json").read_text()
+    checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"], c["checked"]) for c in checks] == [
         ("theorem", "PASS", 1458)] * 4
 
 
+def test_a2_full_campaign(capsys):
+    # every check kind on A2, at two orders and two mutation steps
+    path = CAMPAIGNS / "a2-full.json"
+    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "a2-full.json").read_text()
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and worker
-    initializer, runs in process without calling the initializer."""
+    initializer, runs in process."""
     sizes = []
     initializers = []
 
@@ -370,14 +423,11 @@ def test_pool_capped_at_task_count(monkeypatch):
 def test_pool_workers_start_with_a_power_table(monkeypatch):
     monkeypatch.setattr(RecordingPool, "initializers", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # a worker starts from the empty table it forks or imports
+    assert cli._POWERS == {}
     run(Campaign.from_dict(a2_doc(checks=["THEOREM"])), jobs=2)
-    assert RecordingPool.initializers == [cli._fresh_powers]
-    assert cli._POWERS is None          # the parent never holds one
-    cli._fresh_powers()
-    try:
-        assert cli._POWERS == {}
-    finally:
-        cli._POWERS = None
+    assert RecordingPool.initializers == [None]
+    assert cli._POWERS == {}
 
 
 def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
@@ -385,8 +435,9 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     batch = cli._theorem_batch
 
     def recording(seed, l, vectors):
-        seen.append(cli._POWERS)
-        return batch(seed, l, vectors)
+        out = batch(seed, l, vectors)
+        seen.append((cli._POWERS, len(cli._POWERS)))
+        return out
 
     monkeypatch.setattr(cli, "_theorem_batch", recording)
     c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=[3, 5],
@@ -394,8 +445,10 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     report = run(c)
     assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
     assert len(seen) == 2 * len(c.sequences)
-    assert all(table is seen[0] for table in seen) and seen[0]
-    assert cli._POWERS is None
+    sizes = [size for _, size in seen]
+    assert all(table is cli._POWERS for table, _ in seen)
+    assert sizes[0] and sizes == sorted(sizes)      # kept from batch to batch
+    assert cli._POWERS == {}
 
     def failing(seed, l, vectors):
         recording(seed, l, vectors)
@@ -405,8 +458,8 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     seen.clear()
     with pytest.raises(RuntimeError, match="batch failed"):
         run(c)
-    assert seen and isinstance(seen[0], dict)
-    assert cli._POWERS is None
+    assert seen and seen[0][1]
+    assert cli._POWERS == {}
 
 
 def test_power_table_emptied_past_its_cap(monkeypatch):
