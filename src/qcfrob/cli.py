@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
@@ -494,14 +493,25 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
                           {"p": p, "prefix": prefix, "samples": trials},
                           reduction_commutes, (datum, word, prefix, elems)))
 
+    # Sequences that reach one seed share its theorem batch at each order:
+    # only the first task in report order with an equal (seed, l) runs, and
+    # a repeat's record copies its outcome with its own params and millis 0.
+    firsts = {}
+    owners = [firsts.setdefault(args[:2] if fn is _theorem_batch else i, i)
+              for i, (_, _, fn, args) in enumerate(tasks)]
+    distinct = [tasks[i] for i in firsts.values()]
     try:
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                records.extend(pool.map(_run_task, tasks))
+        if jobs > 1 and len(distinct) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=min(jobs, len(distinct))) as pool:
+                done = dict(zip(firsts.values(), pool.map(_run_task, distinct)))
         else:
-            records.extend(map(_run_task, tasks))
+            done = dict(zip(firsts.values(), map(_run_task, distinct)))
     finally:
         _POWERS.clear()
+    records += [done[i] if j == i else
+                {**done[j], "params": _jsonable(tasks[i][1]), "millis": 0}
+                for i, j in enumerate(owners)]
 
     meta = {"type": campaign.label,
             "word": [i + 1 for i in word],
@@ -554,7 +564,7 @@ def main(argv=None) -> int:
                         help="zero out timing fields")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the check tasks: one per "
-                        "theorem batch, prime, and minor check")
+                        "distinct seed and order, prime, and minor check")
     parser.add_argument("--out", help="write the report here instead of stdout; "
                         "QCFROB_OUT_DIR prefixes relative paths")
     args = parser.parse_args(argv)

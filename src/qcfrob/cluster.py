@@ -175,7 +175,9 @@ class QuantumSeed:
                 and self.lam == other.lam
                 and self.variables == other.variables)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.btilde, self.lam,
+                     tuple(frozenset(y.terms.items()) for y in self.variables)))
 
     def __repr__(self):
         return f"QuantumSeed(rank={self.rank}, exchangeable={self.btilde.cols})"

@@ -69,7 +69,9 @@ class IntLaurent:
             return NotImplemented
         return self.terms == other.terms
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        # terms holds no zero coefficient, so equal elements hash alike
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "IntLaurent") -> "IntLaurent":
         out = dict(self.terms)

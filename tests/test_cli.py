@@ -13,13 +13,14 @@ from qcfrob import cli, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
-from qcfrob.cluster import seed_from_word
+from qcfrob.cluster import mutate_seed, seed_from_word
 from qcfrob.coeff import ExactDivisionError, qint
 from qcfrob.qtorus import SkewForm
 
 # --format json --deterministic reports, kept byte for byte so a refactor
 # that changes any report fails here: two sample campaigns and the configs
-# of test_main_jobs_matches_serial and test_main_singular_cartan.
+# of test_main_jobs_matches_serial, test_main_singular_cartan and
+# test_revisited_seeds_golden.
 # Regenerate them only with a change meant to alter reports.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -366,6 +367,55 @@ def test_main_jobs_matches_serial(tmp_path, capsys):
     assert "engine error" in serial
 
 
+# A3 sequences that reach 3 distinct seeds, two each: (1) and (1,2,3,2,3),
+# (1,2) and (1,3,2,3), (1,2,3) and (1,3,2)
+REVISITS = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
+            "mutations": {"sequences": [[1], [1, 2, 3, 2, 3], [1, 2], [1, 3, 2, 3],
+                                        [1, 2, 3], [1, 3, 2]]},
+            "exponents": {"max_entry": 1}, "checks": ["THEOREM"]}
+
+
+def test_revisited_seeds_golden(tmp_path, capsys):
+    path = write_config(tmp_path, REVISITS)
+    for jobs in ("1", "2"):
+        assert main(["--config", path, "--format", "json", "--deterministic",
+                     "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "a3-revisits.json").read_text()
+
+
+# B2 at depth 3: 7 sequences, of which (1,2,1) and (2,1,2) reach one seed
+B2_DEPTH3 = {"cartan": "B2", "word": [1, 2, 1, 2], "l_values": [3, 5],
+             "mutations": {"depth": 3}, "exponents": {"max_entry": 1},
+             "checks": ["THEOREM"]}
+
+
+@pytest.mark.parametrize("doc, batches", [(REVISITS, 6), (B2_DEPTH3, 12)])
+def test_one_theorem_batch_per_distinct_seed(monkeypatch, doc, batches):
+    # against the per-sequence path: each record is the batch on a seed
+    # walked from the word's seed along its own sequence alone
+    c = Campaign.from_dict(doc)
+    pooled = emit(run(c, jobs=2), "json", deterministic=True)
+    calls = []
+    batch = cli._theorem_batch
+
+    def counting(seed, l, vectors):
+        calls.append(l)
+        return batch(seed, l, vectors)
+
+    monkeypatch.setattr(cli, "_theorem_batch", counting)
+    report = run(c)
+    assert len(calls) == batches
+    assert emit(report, "json", deterministic=True) == pooled
+    monkeypatch.setattr(cli, "_POWERS", {})
+    lam = SkewForm(report["meta"]["lambda"])
+    for rec in report["checks"]:
+        seed = seed_from_word(c.datum, c.word, lam)
+        for pos in rec["params"]["mutations"]:
+            seed = mutate_seed(seed, pos - 1)
+        outcome = batch(seed, rec["params"]["l"], c.vectors)
+        assert {**rec, "millis": 0} == cli._record("theorem", rec["params"], outcome, 0)
+
+
 CAMPAIGNS = pathlib.Path(__file__).parent.parent / "campaigns"
 
 
@@ -409,7 +459,7 @@ class RecordingPool:
 
 def test_pool_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # two theorem batches and three minor checks, one task each
     c = Campaign.from_dict(a2_doc(checks=["THEOREM", "KKKO"]))
     report = run(c, jobs=5000)
@@ -422,7 +472,7 @@ def test_pool_capped_at_task_count(monkeypatch):
 
 def test_pool_workers_start_with_a_power_table(monkeypatch):
     monkeypatch.setattr(RecordingPool, "initializers", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # a worker starts from the empty table it forks or imports
     assert cli._POWERS == {}
     run(Campaign.from_dict(a2_doc(checks=["THEOREM"])), jobs=2)

@@ -195,6 +195,24 @@ def test_mutation_involutive_on_seed():
     assert back == seed
 
 
+def test_seed_hash_agrees_with_eq():
+    # two mutation sequences that reach one seed on A3 (1-based (1,2) and
+    # (1,3,2,3)), and two that do not ((1,2) and (2,1))
+    word = (0, 1, 0, 2, 1, 0)
+    seed = seed_from_word(A3, word, cell_form("A3", word))
+
+    def walk(seq):
+        out = seed
+        for pos in seq:
+            out = mutate_seed(out, pos)
+        return out
+
+    a, b, c = walk((0, 1)), walk((0, 2, 1, 2)), walk((1, 0))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != c and len({a, c}) == 2
+
+
 def test_mutation_preserves_diagonal():
     seed = seed_from_word(A2, (0, 1, 0), A2_LAMBDA)
     assert mutate_seed(seed, 0).d == seed.d

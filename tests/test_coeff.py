@@ -186,6 +186,16 @@ def test_cycloint_hash_agrees_with_eq():
     assert hash(CycloInt.eps_power(5, 7)) == hash(CycloInt.eps_power(5, 2))
 
 
+def test_intlaurent_hash_agrees_with_eq():
+    # an explicit zero coefficient is dropped on construction
+    a = IntLaurent({-1: 3, 0: 1, 2: 0})
+    b = IntLaurent({0: 1, -1: 3})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert IntLaurent({1: 0}) == IntLaurent.zero()
+    assert hash(IntLaurent({1: 0})) == hash(IntLaurent.zero())
+
+
 def test_cycloint_rejects_bad_order_and_mixing():
     with pytest.raises(ValueError):
         CycloInt.from_int(4, 1)
