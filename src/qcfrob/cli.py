@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
                       mutate_seed, seed_from_word)
 from .coeff import ExactDivisionError
-from .frobsplit import (TheoremSession, check_split_axioms,
-                        random_torus_element, reduction_commutes,
+from .frobsplit import (TheoremSession, check_split_axioms, reduction_commutes,
                         require_valid_order)
-from .qtorus import PrimeField, SkewForm, is_prime
+from .qtorus import SkewForm, is_prime
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
                   check_minor_power, commutation_matrix, divided_word_count,
@@ -50,6 +49,9 @@ _MINOR_CAP = 1_000_000
 # l-th power makes each word's value about l^4 times as expensive.  At
 # l = 3 this admits the 10^6 words BASE_CASE admits in divided words.
 _KKKO_CAP = 81 * _MINOR_CAP
+# Random samples SPLIT_AXIOMS and REDUCTION may each draw per prime.  On A3 at
+# p = 3 and 5 a sample costs 40-455 us on 2 cores: under a minute at the cap.
+_TRIALS_CAP = 100_000
 # The cost of SPLIT_AXIOMS at its largest prime p, in trials times p^4: each
 # trial raises random elements to the p-th power.  200 trials pass up to p = 47.
 _SPLIT_CAP = 10 ** 9
@@ -320,6 +322,8 @@ class Campaign:
         trials = doc.get("trials", 200)
         if not _is_int(trials) or trials < 1:
             raise CampaignError("trials: must be a positive integer")
+        if trials > _TRIALS_CAP:
+            raise CampaignError(f"trials: {trials} is more than {_TRIALS_CAP}")
         rng_seed = doc.get("rng_seed", 0)
         if not _is_int(rng_seed):
             raise CampaignError("rng_seed: must be an integer")
@@ -484,14 +488,11 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
         block = SkewForm([row[:prefix] for row in lam.mat[:prefix]])
-        for p in primes:
-            rng = random.Random(f"{campaign.rng_seed}:reduction:{p}")
-            ring = PrimeField(p)
-            elems = [random_torus_element(rng, ring, block, nterms=5)
-                     for _ in range(trials)]
-            tasks.append(("splitting-reduction",
-                          {"p": p, "prefix": prefix, "samples": trials},
-                          reduction_commutes, (datum, word, prefix, elems)))
+        tasks += [("splitting-reduction", {"p": p, "prefix": prefix, "samples": trials},
+                   reduction_commutes,
+                   (datum, word, block, p,
+                    random.Random(f"{campaign.rng_seed}:reduction:{p}"), trials))
+                  for p in primes]
 
     # Sequences that reach one seed share its theorem batch at each order:
     # only the first task in report order with an equal (seed, l) runs, and

@@ -97,38 +97,31 @@ def embed_padded(f: TorusElement, wide_form: SkewForm) -> TorusElement:
     return TorusElement(f.ring, wide_form, {a + pad: c for a, c in f.terms.items()})
 
 
-def reduction_commutes(datum, word, prefix_len: int, elems) -> CheckOutcome:
+def reduction_commutes(datum, word, block: SkewForm, p: int, rng, trials: int) -> CheckOutcome:
     """Splitting on a prefix-word torus agrees with splitting after the
-    zero-padding embedding into the full word's torus.
+    zero-padding embedding into the full word's torus, on trials random
+    mod-p elements drawn from rng over block, the form of the prefix.
 
     The mod-p torus is commutative, so the skew form is carried along for
-    shape only; the embedded form is the zero extension of the sample
-    elements' own form.
+    shape only; the embedded form is the zero extension of block.
     """
-    word = tuple(word)
     if not is_reduced(datum, word):
         raise ValueError("word is not reduced")
-    if not 1 <= prefix_len <= len(word):
+    if not 1 <= block.r <= len(word):
         raise ValueError("prefix length out of range")
     # every prefix of a reduced word is reduced, so the prefix needs no check
-    elems = list(elems)
-    checked = 0
-    for f in elems:
-        if f.form.r != prefix_len:
-            raise ValueError("sample element does not live on the prefix torus")
-        wide = [[0] * len(word) for _ in range(len(word))]
-        for i in range(prefix_len):
-            for j in range(prefix_len):
-                wide[i][j] = f.form.mat[i][j]
-        wide_form = SkewForm(wide)
+    ring, pad = PrimeField(p), len(word) - block.r
+    wide_form = SkewForm([row + (0,) * pad for row in block.mat]
+                         + [(0,) * len(word)] * pad)
+    for checked in range(1, trials + 1):
+        f = random_torus_element(rng, ring, block, nterms=5)
         left = embed_padded(modp_split(f), wide_form)
         right = modp_split(embed_padded(f, wide_form))
-        checked += 1
         if left != right:
             witness = _first_difference(left, right)
             witness["element"] = repr(f)
             return CheckOutcome(False, checked, witness=witness)
-    return CheckOutcome(True, checked)
+    return CheckOutcome(True, trials)
 
 
 # -- expanding cluster monomials over a specialized ring -------------------
@@ -300,7 +293,7 @@ def random_torus_element(rng, ring, form: SkewForm, *, nterms=3):
             c = CycloInt(ring.l, [rng.randint(-4, 4) for _ in range(ring.l - 1)])
         else:
             c = ring.from_int(rng.randint(-4, 4))
-        if not ring.is_zero(c):
+        if c:
             out = out + TorusElement.monomial(ring, form, a, c)
     return out
 

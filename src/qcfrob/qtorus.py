@@ -18,8 +18,9 @@ from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 # -- coefficient ring adapters --------------------------------------------
 #
 # A ring adapter bundles the constants, the image of v, the fused product
-# mul_v(a, b, k) = a b v^k, the canonical form of a term dict and the map
-# from Z[v, v^-1] into the ring, so torus code can stay generic.
+# mul_v(a, b, k) = a b v^k, the canonical form of a term dict, the map from
+# Z[v, v^-1] into the ring and unit inverses, so torus code stays generic.
+# Coefficients test zero by truthiness; only IntLaurent divides exactly.
 
 class LaurentRing:
     """Integer Laurent polynomials in v."""
@@ -39,17 +40,11 @@ class LaurentRing:
     def mul_v(self, a, b, k):
         return (a * b).shifted(k)
 
-    def is_zero(self, c):
-        return c.is_zero
-
     def canon(self, terms):
         return {a: c for a, c in terms.items() if c}
 
     def from_laurent(self, c):
         return c
-
-    def div(self, a, b):
-        return a.exact_div(b)
 
     def inv_unit(self, c):
         if len(c.terms) == 1:
@@ -95,17 +90,11 @@ class CycloRing:
     def mul_v(self, a, b, k):
         return a.mul_eps(b, k * self._half)
 
-    def is_zero(self, c):
-        return c.is_zero
-
     def canon(self, terms):
         return {a: c for a, c in terms.items() if c}
 
     def from_laurent(self, c):
         return specialize(c, self.l, self.point)
-
-    def div(self, a, b):
-        raise ExactDivisionError("no exact division over cyclotomic integers")
 
     def inv_unit(self, c):
         # only the monomial units +-eps^j ever need inverting here
@@ -151,9 +140,6 @@ class PrimeField:
     def mul_v(self, a, b, k):
         return a * b % self.p
 
-    def is_zero(self, c):
-        return c % self.p == 0
-
     def canon(self, terms):
         p = self.p
         return {a: r for a, c in terms.items() if (r := c % p)}
@@ -161,13 +147,8 @@ class PrimeField:
     def from_laurent(self, c):
         return c.at_one() % self.p
 
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return a * pow(b, self.p - 2, self.p) % self.p
-
     def inv_unit(self, c):
-        return self.div(1, c)
+        return pow(c, -1, self.p)
 
     def __eq__(self, other):
         return type(other) is PrimeField and self.p == other.p
@@ -358,12 +339,14 @@ def normal_product(variables, cluster_form: SkewForm, a) -> TorusElement:
 def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
     """Solve h * f = g in the torus; raise ExactDivisionError when no h exists.
 
-    Works by cancelling lex-leading terms.  Candidate exponents of h are
-    confined to the box [min(g) - min(f), max(g) - max(f)] taken
-    coordinatewise over supports, which bounds the search and forces
+    Works over Z[v, v^-1] by cancelling lex-leading terms.  Candidate
+    exponents of h are confined to the box [min(g) - min(f), max(g) - max(f)]
+    taken coordinatewise over supports, which bounds the search and forces
     termination; any step outside the box proves there is no solution.
     """
     g._check_peer(f)
+    if g.ring != LaurentRing():
+        raise ValueError("exact division needs Z[v, v^-1] coefficients")
     if f.is_zero:
         raise ZeroDivisionError("right division by zero")
     ring, form = g.ring, g.form
@@ -384,7 +367,7 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
         if any(not lo[i] <= t[i] <= hi[i] for i in range(r)):
             raise ExactDivisionError(f"required exponent {t} escapes the quotient box")
         try:
-            c = ring.div(rem[lm_r], ring.mul_v(lc_f, ring.one(), form(t, lm_f)))
+            c = rem[lm_r].exact_div(lc_f.shifted(form(t, lm_f)))
         except ExactDivisionError as exc:
             raise ExactDivisionError(f"coefficient not divisible: {exc}") from exc
         quot[t] = c
@@ -392,7 +375,7 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
             key = tuple(map(add, t, b))
             delta = ring.mul_v(c, cb, sum(map(mul, t, mb)))
             cur = rem.get(key, ring.zero()) - delta
-            if ring.is_zero(cur):
+            if not cur:
                 rem.pop(key, None)
             else:
                 rem[key] = cur

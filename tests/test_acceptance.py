@@ -166,9 +166,7 @@ def test_criterion_09_modp_splitting():
     lam = cell_form("A3", A3_WORD)
     block = SkewForm([[lam.mat[i][j] for j in range(3)] for i in range(3)])
     rng = random.Random("reduction")
-    elems = [random_torus_element(rng, PrimeField(3), block, nterms=5)
-             for _ in range(200)]
-    out = reduction_commutes(cartan_preset("A3"), A3_WORD, 3, elems)
+    out = reduction_commutes(cartan_preset("A3"), A3_WORD, block, 3, rng, 200)
     assert out.passed and out.checked == 200
 
 

@@ -9,13 +9,13 @@ import time
 
 import pytest
 
-from qcfrob import cli, uqn
+from qcfrob import cli, frobsplit, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
 from qcfrob.cluster import mutate_seed, seed_from_word
 from qcfrob.coeff import ExactDivisionError, qint
-from qcfrob.qtorus import SkewForm
+from qcfrob.qtorus import SkewForm, TorusElement
 
 # --format json --deterministic reports, kept byte for byte so a refactor
 # that changes any report fails here: two sample campaigns and the configs
@@ -159,6 +159,12 @@ def test_campaign_defaults_and_word_conversion():
      "commutation form needs 69980688 splits"),
     (a2_doc(cartan="G2", word=[2, 1, 2, 1, 2], l_values=[5], checks=["LAMBDA"]),
      "commutation form needs 80128152 splits"),
+    # trials past their cap, for each check that draws them; at p = 3 the
+    # SPLIT_AXIOMS charge alone admits 12,345,679 trials * 3^4 <= 10^9
+    (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], checks=["REDUCTION"], trials=100_001),
+     "trials: 100001 is more than 100000"),
+    (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], checks=["SPLIT_AXIOMS"],
+            trials=12_345_679), "trials: 12345679 is more than 100000"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -182,6 +188,8 @@ def test_charges_under_their_caps_validate():
     Campaign.from_dict({"cartan": "G2", "word": [1, 2, 1, 2], "l_values": [5],
                         "checks": ["LAMBDA"]})
     Campaign.from_dict({**a3, "l_values": [31], "checks": ["SPLIT_AXIOMS"]})
+    Campaign.from_dict({**a3, "l_values": [3], "checks": ["SPLIT_AXIOMS", "REDUCTION"],
+                        "trials": 100_000})
 
 
 def test_campaign_custom_cartan():
@@ -544,8 +552,10 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
      "80128152 splits"),
     ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [101],
       "checks": ["SPLIT_AXIOMS"]}, "SPLIT_AXIOMS at p = 101 needs 200 trials"),
+    ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
+      "checks": ["REDUCTION"], "trials": 100_000_000}, "trials: 100000000 is more than"),
 ], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0",
-        "lambda-g2-21212", "split-a3-p101"])
+        "lambda-g2-21212", "split-a3-p101", "reduction-trials-1e8"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
@@ -595,6 +605,35 @@ def test_engine_error_stands_in_for_seed(monkeypatch):
         notes = [rec.get("note") for rec in run(c, jobs=jobs)["checks"]]
         assert notes == ["engine error: no quotient", None,
                          "engine error: no quotient"] * len(c.l_values)
+
+
+def test_reduction_fail_record(tmp_path, capsys, monkeypatch):
+    # a split that adds 1 on the full word's torus when the sample has a
+    # monomial starting x_1^-2 x_2^-2 (pool workers fork, so they see it);
+    # the records are the ones the check gave when the driver drew every
+    # sample before the run, so drawing them in the task keeps their order
+    split = frobsplit.modp_split
+
+    def broken(f):
+        out = split(f)
+        if f.form.r == 6 and any(a[:2] == (-2, -2) for a in f.terms):
+            out = out + TorusElement.one(f.ring, f.form)
+        return out
+
+    monkeypatch.setattr(frobsplit, "modp_split", broken)
+    path = write_config(tmp_path, {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1],
+                                   "l_values": [3, 5], "checks": ["REDUCTION"],
+                                   "reduction_prefix": 3, "trials": 30})
+    want = [(3, 28, "(1)*x^(0, -1, 2) + (1)*x^(-2, -2, 0)"),
+            (5, 6, "(1)*x^(2, 1, -2) + (2)*x^(2, -1, 0) + (1)*x^(-2, -2, 1)")]
+    for jobs in ("1", "2"):
+        assert main(["--config", path, "--format", "json", "--jobs", jobs]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        assert [(r["params"]["p"], r["verdict"], r["checked"], r["witness"])
+                for r in records] == [
+            (p, "FAIL", checked, {"monomial": [0] * 6, "left": "0", "right": "1",
+                                  "element": element})
+            for p, checked, element in want]
 
 
 @pytest.mark.parametrize("orders", [[3], [3, 5]])

@@ -209,24 +209,20 @@ def test_split_respects_frozen_divisor():
 def test_reduction_commutes_on_a3_prefix():
     rng = random.Random(27)
     datum = cartan_preset("A3")
-    ring = PrimeField(3)
     form = rand_skew(rng, 3)
-    elems = [random_torus_element(rng, ring, form, nterms=5) for _ in range(25)]
-    out = reduction_commutes(datum, A3_WORD, 3, elems)
+    out = reduction_commutes(datum, A3_WORD, form, 3, rng, 25)
     assert out.passed and out.checked == 25
 
 
 def test_reduction_commutes_validates_input():
     datum = cartan_preset("A3")
-    ring = PrimeField(3)
-    form = SkewForm([[0]])
-    elem = TorusElement.one(ring, form)
-    with pytest.raises(ValueError):
-        reduction_commutes(datum, (0, 0, 1), 1, [elem])
-    with pytest.raises(ValueError):
-        reduction_commutes(datum, A3_WORD, 0, [elem])
-    with pytest.raises(ValueError):
-        reduction_commutes(datum, A3_WORD, 2, [elem])  # element on wrong torus
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="not reduced"):
+        reduction_commutes(datum, (0, 0, 1), SkewForm([[0]]), 3, rng, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        reduction_commutes(datum, A3_WORD, SkewForm([]), 3, rng, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        reduction_commutes(datum, A3_WORD, SkewForm([[0] * 7] * 7), 3, rng, 1)
 
 
 def test_embed_padded_guards():
