@@ -442,6 +442,14 @@ def _lambda_oracle(campaign: Campaign, computed: SkewForm) -> CheckOutcome:
     return CheckOutcome(True, 2)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most pool workers worth starting."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run(campaign: Campaign, jobs: int = 1) -> dict:
     checks, datum, word = campaign.checks, campaign.datum, campaign.word
     records = []
@@ -502,9 +510,10 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
               for i, (_, _, fn, args) in enumerate(tasks)]
     distinct = [tasks[i] for i in firsts.values()]
     try:
-        if jobs > 1 and len(distinct) > 1:
+        workers = min(jobs, len(distinct), _usable_cpus())
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(jobs, len(distinct))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = dict(zip(firsts.values(), pool.map(_run_task, distinct)))
         else:
             done = dict(zip(firsts.values(), map(_run_task, distinct)))

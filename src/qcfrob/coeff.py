@@ -15,6 +15,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, neg, sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -223,10 +224,10 @@ def cyclotomic_coeffs(l: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(l: int, coeffs: list[int]) -> tuple[int, ...]:
+def _reduce_mod_phi(l: int, work: list[int]) -> tuple[int, ...]:
+    """The reduced coefficient tuple of work mod Phi_l; work is consumed."""
     phi = cyclotomic_coeffs(l)
     deg = len(phi) - 1
-    work = list(coeffs)
     for pos in range(len(work) - 1, deg - 1, -1):
         c = work[pos]
         if c == 0:
@@ -249,6 +250,14 @@ class CycloInt:
             raise ValueError("cyclotomic order must be odd and >= 3")
         self.l = l
         self.coeffs = _reduce_mod_phi(l, list(coeffs))
+
+    @classmethod
+    def _reduced(cls, l: int, coeffs: tuple) -> "CycloInt":
+        """Wrap a reduced coefficient tuple of an order already checked."""
+        out = object.__new__(cls)
+        out.l = l
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, l: int) -> "CycloInt":
@@ -282,16 +291,17 @@ class CycloInt:
         # coeffs is the reduced form, so equal elements hash alike
         return hash((self.l, self.coeffs))
 
+    # sums, differences and negatives of reduced forms are reduced
     def __add__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
-        return CycloInt(self.l, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloInt._reduced(self.l, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
-        return CycloInt(self.l, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloInt._reduced(self.l, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycloInt":
-        return CycloInt(self.l, [-a for a in self.coeffs])
+        return CycloInt._reduced(self.l, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
@@ -314,7 +324,16 @@ class CycloInt:
                 for j, cb in enumerate(other.coeffs, i):
                     if cb:
                         out[j % l] += ca * cb
-        return CycloInt(l, out)
+        return CycloInt._reduced(l, _reduce_mod_phi(l, out))
+
+    def eps_shift(self, k: int) -> "CycloInt":
+        """self * eps^k: the length-l cyclic form rotated by k, reduced."""
+        l = self.l
+        k %= l
+        if not k:
+            return self
+        cyclic = self.coeffs + (0,) * (l - len(self.coeffs))
+        return CycloInt._reduced(l, _reduce_mod_phi(l, list(cyclic[-k:] + cyclic[:-k])))
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -53,21 +53,22 @@ def fr_star(f: TorusElement) -> TorusElement:
 
     A ring homomorphism: the image monomials commute up to
     eps^{(l+1)/2 * L(la, lb)} and l divides l^2 L(a, b), so the inserted
-    root-of-unity powers are all 1.
+    root-of-unity powers are all 1.  Both tori have Z[eps] coefficients, so
+    f's canonical terms stay canonical.
     """
-    ring = _cyclo_ring(f, Point.ONE)
-    l = ring.l
-    out = CycloRing(l, Point.EPS)
-    terms = {tuple(l * x for x in a): c for a, c in f.terms.items()}
-    return TorusElement(out, f.form, terms)
+    l = _cyclo_ring(f, Point.ONE).l
+    return TorusElement.from_canonical(
+        CycloRing(l, Point.EPS), f.form,
+        {tuple(l * x for x in a): c for a, c in f.terms.items()})
 
 
 def _divide_exponents(f: TorusElement, d: int, ring) -> TorusElement:
     """Keep the monomials of f with all exponents divisible by d, divide
-    those by d, kill everything else; the result lives over ring."""
-    return TorusElement(ring, f.form, {tuple(x // d for x in a): c
-                                       for a, c in f.terms.items()
-                                       if all(x % d == 0 for x in a)})
+    those by d, kill everything else; the result lives over ring, whose
+    canonical form is f's, so the kept terms stay canonical."""
+    return TorusElement.from_canonical(ring, f.form, {
+        tuple(x // d for x in a): c for a, c in f.terms.items()
+        if all(x % d == 0 for x in a)})
 
 
 def frp_star(f: TorusElement) -> TorusElement:
@@ -131,12 +132,18 @@ class SeedExpander:
 
     Expanding directly over the specialized ring is legitimate because the
     coefficient specialization is a ring map, so it commutes with the
-    normal-ordered product defining x^a.  Products over the leading block
-    of positions (up to the last exchangeable one) are memoized by exponent
-    prefix.  Positions past the block are never mutated, so their product
-    is one monomial c x^b, kept by exponent suffix with M b (M the ambient
-    form).  monomial(a) is one pass over the prefix product:
-    c_p x^p -> c_p c v^{twist(a) + p.Mb} x^{p+b}.
+    normal-ordered product defining x^a.  Split a = p + s at the end of the
+    leading block of positions (up to the last exchangeable one).  Products
+    over the block are memoized by p, with twist(p).  Positions past the
+    block are never mutated, so their product is one monomial c x^b, kept
+    by s with M b (M the ambient form) and the two parts of the twist that
+    depend on s: twist(0 + s) and the vector w with
+    twist(a) = twist(p) + twist(0 + s) + p.w.  monomial(a) is one pass of
+    unit shifts over the prefix product:
+    c_q x^q -> v_shift(c_q, twist(a) + q.Mb) x^{q+b},
+    times c only where c is not the ring's one.  Each term is a product of
+    nonzero coefficients over a domain (Z[v, v^-1], Z[eps] or F_p), so none
+    needs canon.
 
     Powers of single variables go to a table keyed by the ring, the ambient
     form, the variable's terms and the exponent: a private table by
@@ -167,16 +174,18 @@ class SeedExpander:
             got = self._pows[key] = self.variables[t] ** e
         return got
 
-    def _block_product(self, prefix) -> TorusElement:
-        if not prefix:
-            return TorusElement.one(self.ring, self.ambient)
+    def _block_product(self, prefix) -> tuple:
+        """(product over the block, twist(prefix))."""
         got = self._prefix.get(prefix)
         if got is None:
-            got = self._block_product(prefix[:-1]) * self._power(len(prefix) - 1, prefix[-1])
-            self._prefix[prefix] = got
+            product = (self._block_product(prefix[:-1])[0]
+                       * self._power(len(prefix) - 1, prefix[-1]) if prefix
+                       else TorusElement.one(self.ring, self.ambient))
+            got = self._prefix[prefix] = (product, self.seed.lam.twist(prefix))
         return got
 
     def _suffix_monomial(self, suffix) -> tuple:
+        """(b, c or None when c is the ring's one, M b, twist(0 + s), w)."""
         got = self._suffix.get(suffix)
         if got is None:
             acc = TorusElement.one(self.ring, self.ambient)
@@ -186,19 +195,24 @@ class SeedExpander:
             if len(acc.terms) != 1:
                 raise ValueError("variables past the exchangeable block are not monomials")
             (b, c), = acc.terms.items()
-            got = self._suffix[suffix] = (b, c, self.ambient.image(b))
+            got = self._suffix[suffix] = (b, None if c == self.ring.one() else c,
+                                          self.ambient.image(b),
+                                          *self.seed.lam.suffix_twist(suffix))
         return got
 
     def monomial(self, a) -> TorusElement:
         """Expansion of the normalized cluster monomial x^a at this ring."""
-        a = tuple(int(x) for x in a)
+        a = tuple(map(int, a))
         if len(a) != self.size:
             raise ValueError("exponent vector has wrong length")
-        b, c, mb = self._suffix_monomial(a[self._block:])
-        mul_v, twist = self.ring.mul_v, self.seed.lam.twist(a)
-        return TorusElement(self.ring, self.ambient, {
-            tuple(map(add, p, b)): mul_v(cp, c, twist + sum(map(mul, p, mb)))
-            for p, cp in self._block_product(a[:self._block]).terms.items()})
+        prefix = a[:self._block]
+        product, twist = self._block_product(prefix)
+        b, c, mb, twist_s, w = self._suffix_monomial(a[self._block:])
+        twist += twist_s + sum(map(mul, prefix, w))
+        shift = self.ring.v_shift if c is None else lambda cq, k: self.ring.mul_v(cq, c, k)
+        return TorusElement.from_canonical(self.ring, self.ambient, {
+            tuple(map(add, q, b)): shift(cq, twist + sum(map(mul, q, mb)))
+            for q, cq in product.terms.items()})
 
 
 def _first_difference(left: TorusElement, right: TorusElement) -> dict:

@@ -18,8 +18,9 @@ from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 # -- coefficient ring adapters --------------------------------------------
 #
 # A ring adapter bundles the constants, the image of v, the fused product
-# mul_v(a, b, k) = a b v^k, the canonical form of a term dict, the map from
-# Z[v, v^-1] into the ring and unit inverses, so torus code stays generic.
+# mul_v(a, b, k) = a b v^k, the unit shift v_shift(c, k) = c v^k, the
+# canonical form of a term dict, the map from Z[v, v^-1] into the ring and
+# unit inverses, so torus code stays generic.
 # Coefficients test zero by truthiness; only IntLaurent divides exactly.
 
 class LaurentRing:
@@ -39,6 +40,9 @@ class LaurentRing:
 
     def mul_v(self, a, b, k):
         return (a * b).shifted(k)
+
+    def v_shift(self, c, k):
+        return c.shifted(k)
 
     def canon(self, terms):
         return {a: c for a, c in terms.items() if c}
@@ -90,6 +94,9 @@ class CycloRing:
     def mul_v(self, a, b, k):
         return a.mul_eps(b, k * self._half)
 
+    def v_shift(self, c, k):
+        return c.eps_shift(k * self._half) if self._half else c
+
     def canon(self, terms):
         return {a: c for a, c in terms.items() if c}
 
@@ -139,6 +146,9 @@ class PrimeField:
 
     def mul_v(self, a, b, k):
         return a * b % self.p
+
+    def v_shift(self, c, k):
+        return c
 
     def canon(self, terms):
         p = self.p
@@ -208,6 +218,15 @@ class SkewForm:
                 total += ai * sum(row[j] * a[j] for j in range(i))
         return total
 
+    def suffix_twist(self, s) -> tuple:
+        """For a = p + s, p the first r - len(s) entries: twist(0 + s) and the
+        vector w with twist(a) = twist(p) + twist(0 + s) + p.w."""
+        k = self.r - len(s)
+        padded = (0,) * k + tuple(s)
+        w = tuple(sum(self.mat[i][j] * e for i, e in enumerate(padded) if e)
+                  for j in range(k))
+        return self.twist(padded), w
+
 
 # -- torus elements --------------------------------------------------------
 
@@ -220,6 +239,14 @@ class TorusElement:
         self.ring = ring
         self.form = form
         self.terms = ring.canon(terms)
+
+    @classmethod
+    def from_canonical(cls, ring, form, terms: dict):
+        """Wrap terms already in the ring's canonical form, with no zero
+        coefficient, without passing them through ring.canon."""
+        out = object.__new__(cls)
+        out.ring, out.form, out.terms = ring, form, terms
+        return out
 
     @classmethod
     def zero(cls, ring, form):

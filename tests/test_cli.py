@@ -14,8 +14,10 @@ from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
 from qcfrob.cluster import mutate_seed, seed_from_word
-from qcfrob.coeff import ExactDivisionError, qint
-from qcfrob.qtorus import SkewForm, TorusElement
+from qcfrob.coeff import CycloInt, ExactDivisionError, qint
+from qcfrob.frobsplit import SeedExpander
+from qcfrob.qtorus import CycloRing, LaurentRing, SkewForm, TorusElement
+from qcfrob.uqn import CheckOutcome
 
 # --format json --deterministic reports, kept byte for byte so a refactor
 # that changes any report fails here: two sample campaigns and the configs
@@ -468,6 +470,8 @@ class RecordingPool:
 def test_pool_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    # more CPUs than tasks, so the task count is the cap
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     # two theorem batches and three minor checks, one task each
     c = Campaign.from_dict(a2_doc(checks=["THEOREM", "KKKO"]))
     report = run(c, jobs=5000)
@@ -476,6 +480,26 @@ def test_pool_capped_at_task_count(monkeypatch):
     assert names == ["theorem"] * 2 + ["minor-power"] * 3
     run(Campaign.from_dict(a2_doc(checks=["SPLIT_AXIOMS"], trials=5)), jobs=4)
     assert RecordingPool.sizes == [5]       # a single task runs in process
+
+
+def test_pool_capped_at_usable_cpus(monkeypatch):
+    # 2,000 distinct theorem batches at --jobs 100000 start a pool no larger
+    # than the CPUs this process may use; the stub pool starts no process
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_theorem_batch", lambda seed, l, vectors: CheckOutcome(True, 0))
+    c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=list(range(3, 2003, 2))))
+    assert len(c.l_values) * len(c.sequences) == 2000
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert len(run(c, jobs=100_000)["checks"]) == 2000
+    assert RecordingPool.sizes == [3]
+    # without affinity, the CPU count; with no count known, one: no pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run(c, jobs=100_000)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run(c, jobs=100_000)
+    assert RecordingPool.sizes == [3, 2]
 
 
 def test_pool_workers_start_with_a_power_table(monkeypatch):
@@ -634,6 +658,124 @@ def test_reduction_fail_record(tmp_path, capsys, monkeypatch):
             (p, "FAIL", checked, {"monomial": [0] * 6, "left": "0", "right": "1",
                                   "element": element})
             for p, checked, element in want]
+
+
+# A3 at l = 3 and 5 over the four seeds of depth 1, on vectors where the
+# expansions have several terms and l divides some of them
+THEOREM_FAIL = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
+                "mutations": {"depth": 1},
+                "exponents": {"vectors": [[0] * 6, [1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0],
+                                          [1, 1, 0, 1, 1, 1], [3, 0, 0, 0, 0, 0],
+                                          [0, 3, 3, 0, 0, 0], [3] * 6, [0, 5, 5, 0, 0, 0]]},
+                "checks": ["THEOREM"]}
+
+
+def _rewrite_term(f: TorusElement, pick, change) -> TorusElement:
+    """f with change applied to the coefficient of its pick-th monomial,
+    when f has two terms or more."""
+    if len(f.terms) < 2:
+        return f
+    key = pick(f.terms)
+    return TorusElement(f.ring, f.form, {a: change(c, f.ring) if a == key else c
+                                         for a, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("branch", ["pushforward", "splitting"])
+def test_theorem_fail_record(tmp_path, capsys, monkeypatch, branch):
+    # a pushforward that turns its top coefficient by eps, or a splitting
+    # that negates its lowest one; pool workers fork, so they see it.  The
+    # records are the ones the checker gave before monomial expansion ran
+    # by unit shifts.
+    if branch == "pushforward":
+        push = frobsplit.fr_star
+        monkeypatch.setattr(frobsplit, "fr_star", lambda f: _rewrite_term(
+            push(f), max, lambda c, ring: c * CycloInt.eps_power(ring.l, 1)))
+        want = [((), "PASS", 16, None)] + [
+            (seq, "FAIL", checked, {"monomial": [l * x for x in mono], "left": "e",
+                                    "right": "1", "branch": "pushforward",
+                                    "exponent": exponent})
+            for l in (3, 5) for seq, checked, mono, exponent in [
+                ((1,), 3, [-1, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]),
+                ((2,), 5, [1, -1, 1, 0, 1, 0], [0, 1, 1, 0, 0, 0]),
+                ((3,), 5, [1, 1, -1, 0, 1, 0], [0, 1, 1, 0, 0, 0])]]
+        want.insert(4, want[0])
+    else:
+        split = frobsplit.frp_star
+        monkeypatch.setattr(frobsplit, "frp_star", lambda f: _rewrite_term(
+            split(f), min, lambda c, ring: -c))
+        fail = {"left": "-1", "right": "1", "branch": "splitting"}
+        want = [
+            ((), "PASS", 16, None),
+            ((1,), "FAIL", 10, {"monomial": [-1, 0, 1, 0, 0, 0],
+                                "exponent": [3, 0, 0, 0, 0, 0], **fail}),
+            ((2,), "FAIL", 12, {"monomial": [0, -1, 2, 1, 0, 0],
+                                "exponent": [0, 3, 3, 0, 0, 0], **fail}),
+            ((3,), "FAIL", 12, {"monomial": [0, 2, -1, 0, 0, 1],
+                                "exponent": [0, 3, 3, 0, 0, 0], **fail}),
+            ((), "PASS", 16, None),
+            ((1,), "PASS", 16, None),
+            ((2,), "FAIL", 16, {"monomial": [0, -1, 2, 1, 0, 0],
+                                "exponent": [0, 5, 5, 0, 0, 0], **fail}),
+            ((3,), "FAIL", 16, {"monomial": [0, 2, -1, 0, 0, 1],
+                                "exponent": [0, 5, 5, 0, 0, 0], **fail})]
+    path = write_config(tmp_path, THEOREM_FAIL)
+    for jobs in ("1", "2"):
+        assert main(["--config", path, "--format", "json", "--jobs", jobs]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        assert [(tuple(r["params"]["mutations"]), r["verdict"], r["checked"],
+                 r.get("witness")) for r in records] == want
+
+
+def _count_torus_calls(monkeypatch) -> dict:
+    """Count calls and output terms of SeedExpander.monomial and
+    TorusElement.__mul__ (and the term pairs the product visits), by ring,
+    under the names of the benchmark's traced rows; the class attributes are
+    wrapped where the benchmark's tracer wraps them."""
+    counts = {}
+
+    def bump(name, key, n):
+        counts[f"{name}.{key}"] = counts.get(f"{name}.{key}", 0) + n
+
+    mul, monomial = TorusElement.__mul__, SeedExpander.monomial
+
+    def traced_mul(a, b):
+        out = mul(a, b)
+        ring = a.ring
+        name = "qtorus.mul." + (ring.point.value if isinstance(ring, CycloRing)
+                                else "laurent" if isinstance(ring, LaurentRing) else "modp")
+        bump(name, "calls", 1)
+        bump(name, "term_pairs", len(a.terms) * len(b.terms))
+        bump(name, "terms_out", len(out.terms))
+        return out
+
+    def traced_monomial(self, a):
+        out = monomial(self, a)
+        bump("frobsplit.monomial", "calls", 1)
+        bump("frobsplit.monomial", "terms_out", len(out.terms))
+        return out
+
+    monkeypatch.setattr(TorusElement, "__mul__", traced_mul)
+    monkeypatch.setattr(SeedExpander, "monomial", traced_monomial)
+    return counts
+
+
+def test_traced_torus_counts_pinned(monkeypatch):
+    # the counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows
+    # read, as the checker gave them before monomial expansion ran by unit
+    # shifts: a refactor that routes around either name shows here
+    counts = _count_torus_calls(monkeypatch)
+    c = Campaign.from_dict({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
+                            "mutations": {"depth": 1}, "exponents": {"max_entry": 1},
+                            "checks": ["THEOREM"]})
+    assert {rec["verdict"] for rec in run(c)["checks"]} == {"PASS"}
+    assert counts == {
+        "frobsplit.monomial.calls": 1544, "frobsplit.monomial.terms_out": 2120,
+        "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
+        "qtorus.mul.laurent.terms_out": 20,
+        "qtorus.mul.one.calls": 226, "qtorus.mul.one.term_pairs": 266,
+        "qtorus.mul.one.terms_out": 266,
+        "qtorus.mul.eps.calls": 473, "qtorus.mul.eps.term_pairs": 637,
+        "qtorus.mul.eps.terms_out": 583}
 
 
 @pytest.mark.parametrize("orders", [[3], [3, 5]])

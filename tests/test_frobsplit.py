@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 
-from qcfrob.cluster import cluster_monomial, mutate_seed, seed_from_word
+from qcfrob.cluster import QuantumSeed, cluster_monomial, mutate_seed, seed_from_word
 from qcfrob.coeff import CycloInt, IntLaurent, Point
 from qcfrob.frobsplit import (
     SeedExpander,
@@ -22,6 +22,7 @@ from qcfrob.frobsplit import (
     reduction_commutes,
     require_valid_order,
     spec_torus,
+    to_ring,
 )
 from qcfrob.qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusElement
 from qcfrob.rootdatum import beta_sequence, cartan_preset
@@ -243,24 +244,53 @@ EXPANDER_CELLS = [("A2", A2_WORD, ()), ("A2", A2_WORD, (0,)),
                          ids=[f"{p}-" + ("-".join(map(str, m)) or "id")
                               for p, _, m in EXPANDER_CELLS])
 def test_expander_matches_direct_expansion(preset, word, mutations):
-    seed = cell_seed(preset, word, mutations)
-    rings = [CycloRing(l, point) for l in (3, 5) for point in Point] + [PrimeField(3)]
-    expanders = [SeedExpander(seed, ring) for ring in rings]
+    _check_expander(cell_seed(preset, word, mutations), f"{preset}:{mutations}")
+
+
+# l = 9 and 15 are composite: their eps rings reduce mod a Phi_l of degree
+# below l - 1
+EXPANDER_RINGS = [LR, PrimeField(3)] + [CycloRing(l, point)
+                                        for l in (3, 5, 7, 9, 15) for point in Point]
+
+
+def _check_expander(seed, label):
+    """SeedExpander.monomial on every ring against cluster_monomial, the
+    normal-ordered product over Z[v, v^-1], mapped into the ring."""
+    expanders = [SeedExpander(seed, ring) for ring in EXPANDER_RINGS]
     # exchangeable exponents stay nonnegative; frozen ones, single monomials
     # under mutation, also go negative
     exchangeable = set(seed.btilde.cols)
-    rng = random.Random(f"expander:{preset}:{mutations}")
-    vectors = [(0,) * len(word)] + [
+    rng = random.Random(f"expander:{label}")
+    vectors = [(0,) * seed.rank] + [
         tuple(rng.randrange(3) if t in exchangeable else rng.randrange(-2, 3)
-              for t in range(len(word))) for _ in range(12)]
+              for t in range(seed.rank)) for _ in range(12)]
     for a in vectors:
         exact = cluster_monomial(seed, a)
-        for ring, exp in zip(rings, expanders):
+        for ring, exp in zip(EXPANDER_RINGS, expanders):
             if isinstance(ring, PrimeField):
                 want = reduce_mod_p(exact, ring.p)
             else:
-                want = spec_torus(exact, ring.l, ring.point)
-            assert exp.monomial(a) == want
+                want = to_ring(exact, ring)
+            got = exp.monomial(a)
+            assert got == want, (ring, a)
+            assert got.terms == ring.canon(got.terms)
+    return expanders
+
+
+@pytest.mark.parametrize("scale", [IntLaurent.v_power(1), IntLaurent.v_power(-2, -1)])
+def test_expander_with_frozen_variable_scaled_by_v(scale):
+    # a frozen variable times a unit other than 1: the frozen suffix then
+    # carries a coefficient that is not the ring's one, except at v = 1 for
+    # v, and the expansion multiplies by it
+    base = cell_seed("A3", A3_WORD, (0,))
+    frozen = max(base.btilde.cols) + 1
+    variables = list(base.variables)
+    variables[frozen] = variables[frozen].scale(scale)
+    seed = QuantumSeed(base.datum, base.btilde, base.lam, variables)
+    expanders = _check_expander(seed, f"scaled:{scale!r}")
+    for ring, exp in zip(EXPANDER_RINGS, expanders):
+        carried = [c for _, c, *_ in exp._suffix.values() if c is not None]
+        assert carried or ring.from_laurent(scale) == ring.one(), ring
 
 
 def test_expander_handles_negative_frozen_exponents():

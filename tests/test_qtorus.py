@@ -13,6 +13,7 @@ from qcfrob.qtorus import (
     SkewForm,
     TorusElement,
     exact_right_divide,
+    is_prime,
     normal_product,
 )
 
@@ -237,3 +238,64 @@ def test_fused_product_matches_naive(name):
         assert f * g == naive_product(f, g)
         if g and ring == LR:
             assert exact_right_divide(f * g, g) == f
+
+
+# -- unit shifts and the split twist ----------------------------------------
+
+def _shift_samples(rng, ring):
+    """Zero, +-1, single terms, large and all-negative coefficients."""
+    if isinstance(ring, PrimeField):
+        return list(range(ring.p))
+    if isinstance(ring, CycloRing):
+        l, deg = ring.l, len(ring.one().coeffs)
+        make = lambda cs: CycloInt(l, cs)
+        single = [CycloInt.eps_power(l, j) * ring.from_int(n)
+                  for j in range(l) for n in (1, -3)]
+    else:
+        make = lambda cs: IntLaurent(dict(enumerate(cs, -2)))
+        deg = 5
+        single = [IntLaurent.v_power(j, n) for j in range(-3, 4) for n in (1, -3)]
+    large = [make([rng.randrange(-10 ** 30, 10 ** 30) for _ in range(deg)]) for _ in range(3)]
+    negative = [make([-rng.randrange(1, 9) for _ in range(deg)]) for _ in range(3)]
+    return [ring.zero(), ring.one(), ring.from_int(-1)] + single + large + negative
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 9, 15, 21])
+def test_v_shift_matches_fused_product(l):
+    # c v^k by a unit shift, against the fused product with 1 and against
+    # the general product with the image of v^k; composite l reduces mod a
+    # Phi_l of degree below l - 1
+    rng = random.Random(f"v_shift:{l}")
+    rings = [LR, CycloRing(l, Point.ONE), CycloRing(l, Point.EPS), PrimeField(_next_prime(l))]
+    for ring in rings:
+        for c in _shift_samples(rng, ring):
+            for k in range(-2 * l, 2 * l):
+                got = ring.v_shift(c, k)
+                assert got == ring.mul_v(c, ring.one(), k), (ring, c, k)
+                if isinstance(ring, CycloRing):
+                    half = (l + 1) // 2 if ring.point is Point.EPS else 0
+                    assert got == c * CycloInt.eps_power(l, k * half)
+                    assert type(got.coeffs) is tuple and len(got.coeffs) == len(c.coeffs)
+                elif isinstance(ring, PrimeField):
+                    assert got == c * ring.v_power(k) % ring.p
+                else:
+                    assert got == c * IntLaurent.v_power(k)
+
+
+def test_suffix_twist_splits_the_twist():
+    rng = random.Random(41)
+    for _ in range(200):
+        form = rand_skew(rng, rng.randrange(1, 8))
+        a = tuple(rng.randrange(-3, 4) for _ in range(form.r))
+        for k in range(form.r + 1):
+            prefix, suffix = a[:k], a[k:]
+            twist_s, w = form.suffix_twist(suffix)
+            assert len(w) == k
+            assert form.twist(prefix) + twist_s + sum(
+                x * y for x, y in zip(prefix, w)) == form.twist(a)
