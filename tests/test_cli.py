@@ -748,8 +748,8 @@ def _count_torus_calls(monkeypatch) -> dict:
         bump(name, "terms_out", len(out.terms))
         return out
 
-    def traced_monomial(self, a):
-        out = monomial(self, a)
+    def traced_monomial(self, a, divisor=1):
+        out = monomial(self, a, divisor)
         bump("frobsplit.monomial", "calls", 1)
         bump("frobsplit.monomial", "terms_out", len(out.terms))
         return out
@@ -759,23 +759,48 @@ def _count_torus_calls(monkeypatch) -> dict:
     return counts
 
 
+# The counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows read
+# on A3 at l = 3 and 5.  The qtorus.mul.* counts are the checker's before
+# monomial expansion ran by unit shifts.  frobsplit.monomial makes 2 calls
+# per vector, x^{la} and the terms of x^a that l divides, and 1 more,
+# x^{a/l}, per vector that l divides: 512 checks, 8 of them on a = 0.
+TRACED = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
+          "mutations": {"depth": 1}, "exponents": {"max_entry": 1},
+          "checks": ["THEOREM"]}
+TRACED_COUNTS = {
+    "frobsplit.monomial.calls": 1032, "frobsplit.monomial.terms_out": 720,
+    "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
+    "qtorus.mul.laurent.terms_out": 20,
+    "qtorus.mul.one.calls": 226, "qtorus.mul.one.term_pairs": 266,
+    "qtorus.mul.one.terms_out": 266,
+    "qtorus.mul.eps.calls": 473, "qtorus.mul.eps.term_pairs": 637,
+    "qtorus.mul.eps.terms_out": 583}
+
+
 def test_traced_torus_counts_pinned(monkeypatch):
-    # the counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows
-    # read, as the checker gave them before monomial expansion ran by unit
-    # shifts: a refactor that routes around either name shows here
+    # a refactor that routes around either name shows here
     counts = _count_torus_calls(monkeypatch)
-    c = Campaign.from_dict({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
-                            "mutations": {"depth": 1}, "exponents": {"max_entry": 1},
-                            "checks": ["THEOREM"]})
-    assert {rec["verdict"] for rec in run(c)["checks"]} == {"PASS"}
-    assert counts == {
-        "frobsplit.monomial.calls": 1544, "frobsplit.monomial.terms_out": 2120,
-        "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
-        "qtorus.mul.laurent.terms_out": 20,
-        "qtorus.mul.one.calls": 226, "qtorus.mul.one.term_pairs": 266,
-        "qtorus.mul.one.terms_out": 266,
-        "qtorus.mul.eps.calls": 473, "qtorus.mul.eps.term_pairs": 637,
-        "qtorus.mul.eps.terms_out": 583}
+    assert {rec["verdict"] for rec in run(Campaign.from_dict(TRACED))["checks"]} == {"PASS"}
+    assert counts == TRACED_COUNTS
+
+
+def test_benchmark_traced_counts_match_pinned(tmp_path):
+    # the benchmark's own traced run of the same config reads the same
+    # counts, so its rows and the pinned literals cannot drift apart
+    root = pathlib.Path(__file__).parent.parent
+    path = write_config(tmp_path, TRACED)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), "run",
+                           path, str(tmp_path / "spans.tsv")],
+                          capture_output=True, text=True, env=env, check=True)
+    out = json.loads(proc.stdout)
+    traced = {name: value for name, value in out["counts"].items()
+              if name.startswith(("frobsplit.monomial.", "qtorus.mul."))}
+    traced.update({f"{name}.calls": layer["calls"] for name, layer in out["layers"].items()
+                   if name == "frobsplit.monomial" or name.startswith("qtorus.mul.")})
+    assert {rec["verdict"] for rec in out["report"]["checks"]} == {"PASS"}
+    assert traced == TRACED_COUNTS
 
 
 @pytest.mark.parametrize("orders", [[3], [3, 5]])

@@ -6,11 +6,14 @@ import random
 import pytest
 import sympy
 
+from qcfrob import frobsplit
 from qcfrob.cluster import QuantumSeed, cluster_monomial, mutate_seed, seed_from_word
 from qcfrob.coeff import CycloInt, IntLaurent, Point
 from qcfrob.frobsplit import (
     SeedExpander,
     TheoremSession,
+    _first_difference,
+    _split_mismatch,
     check_modp_division,
     check_split_axioms,
     embed_padded,
@@ -26,6 +29,7 @@ from qcfrob.frobsplit import (
 )
 from qcfrob.qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusElement
 from qcfrob.rootdatum import beta_sequence, cartan_preset
+from qcfrob.uqn import CheckOutcome
 
 from _classical import classical_mutate_vars, torus_at_one
 from _seeds import A2_WORD, A3_WORD, B2_WORD, cell_form, cell_seed
@@ -282,15 +286,59 @@ def test_expander_with_frozen_variable_scaled_by_v(scale):
     # a frozen variable times a unit other than 1: the frozen suffix then
     # carries a coefficient that is not the ring's one, except at v = 1 for
     # v, and the expansion multiplies by it
+    expanders = _check_expander(_scaled_frozen_seed(scale), f"scaled:{scale!r}")
+    for ring, exp in zip(EXPANDER_RINGS, expanders):
+        carried = [c for _, c, *_ in exp._suffix.values() if c is not None]
+        assert carried or ring.from_laurent(scale) == ring.one(), ring
+
+
+def _scaled_frozen_seed(scale):
+    """The A3 seed after mutating position 1, with its first frozen
+    variable times scale."""
     base = cell_seed("A3", A3_WORD, (0,))
     frozen = max(base.btilde.cols) + 1
     variables = list(base.variables)
     variables[frozen] = variables[frozen].scale(scale)
-    seed = QuantumSeed(base.datum, base.btilde, base.lam, variables)
-    expanders = _check_expander(seed, f"scaled:{scale!r}")
-    for ring, exp in zip(EXPANDER_RINGS, expanders):
-        carried = [c for _, c, *_ in exp._suffix.values() if c is not None]
-        assert carried or ring.from_laurent(scale) == ring.one(), ring
+    return QuantumSeed(base.datum, base.btilde, base.lam, variables)
+
+
+@pytest.mark.parametrize("l", [3, 5, 9, 15, 21])
+def test_monomial_keeps_the_terms_a_divisor_divides(l):
+    # monomial(a, d) against the terms of monomial(a) whose exponents d
+    # divides, on every ring adapter; l = 9, 15 and 21 are composite, and
+    # over Z[v, v^-1] and F_p l is only the divisor
+    rings = [LR, PrimeField(3), PrimeField(5), CycloRing(l, Point.ONE), CycloRing(l, Point.EPS)]
+    # on B2 after mutating position 2, x^(1,3,-1,-1) and x^(1,3,2,-1) keep a
+    # term at d = 3 whose frozen part b is not divisible by 3
+    seeds = [(cell_seed("A3", A3_WORD), []), (cell_seed("A3", A3_WORD, (0,)), []),
+             (cell_seed("B2", B2_WORD, (1,)), [(1, 3, -1, -1), (1, 3, 2, -1)]),
+             (_scaled_frozen_seed(IntLaurent.v_power(-2, -1)), [])]
+    empty = proper = 0
+    for seed, extra in seeds:
+        r, frozen = seed.rank, max(seed.btilde.cols) + 1
+        rng = random.Random(f"divisor:{l}:{r}")
+        units = [tuple(int(s == t) for s in range(r)) for t in range(r)]
+        vectors = ([(0,) * r] + extra + [tuple(l * x for x in e) for e in units]
+                   + [tuple(l * (x + (s == frozen)) for s, x in enumerate(e)) for e in units]
+                   + [tuple(rng.randrange(3) if s < frozen else rng.randrange(-2, 3)
+                            for s in range(r)) for _ in range(6)])
+        for ring in rings:
+            expander = SeedExpander(seed, ring)
+            assert expander._untwisted == (ring.v_power(1) == ring.one())
+            for a in vectors:
+                # the restricted expansions first, so none reads a memo
+                # that the whole expansion filled
+                got = {d: expander.monomial(a, d) for d in (1, l, 3 * l)}
+                whole = expander.monomial(a).terms
+                for d, out in got.items():
+                    want = {k: c for k, c in whole.items() if all(x % d == 0 for x in k)}
+                    assert out.terms == want, (ring, a, d)
+                    assert (out.ring, out.form) == (ring, expander.ambient)
+                    empty += not want
+                    proper += 0 < len(want) < len(whole)
+    assert empty and proper
+    with pytest.raises(ValueError, match="divisor"):
+        SeedExpander(seeds[0][0], LR).monomial((0,) * 6, 0)
 
 
 def test_expander_handles_negative_frozen_exponents():
@@ -406,10 +454,142 @@ def test_shared_power_table_keys_the_element_raised():
     assert len(table) == 3
 
 
+def test_splitting_compared_when_l_divides_a_and_no_term_is_kept(monkeypatch):
+    # the splitting branch may skip frp_star only when l does not divide a:
+    # a restricted expansion that loses every term must fail where l does
+    monomial = SeedExpander.monomial
+    monkeypatch.setattr(SeedExpander, "monomial", lambda expander, a, divisor=1: (
+        monomial(expander, a) if divisor == 1
+        else TorusElement.zero(expander.ring, expander.ambient)))
+    session = TheoremSession(cell_seed("A2", A2_WORD, (0,)), 3)
+    assert session.check((1, 0, 0)).passed
+    out = session.check((3, 3, 0))
+    assert (out.passed, out.checked, out.witness["branch"]) == (False, 2, "splitting")
+
+
 def test_theorem_rejects_negative_exponents():
     session = TheoremSession(cell_seed("A2", A2_WORD), 3)
     with pytest.raises(ValueError):
         session.check((-1, 0, 0))
+
+
+def _reference_check(session, a) -> CheckOutcome:
+    """TheoremSession.check as it was before it took the pushforward per
+    prefix and expanded the splitting over one residue class: three whole
+    expansions, compared as torus elements."""
+    l = session.l
+    a = tuple(int(x) for x in a)
+    pushed = frobsplit.fr_star(session.at_one.monomial(a))
+    scaled = session.at_eps.monomial(tuple(l * x for x in a))
+    if pushed != scaled:
+        witness = _first_difference(pushed, scaled)
+        witness.update(branch="pushforward", exponent=list(a))
+        return CheckOutcome(False, 1, witness=witness)
+    witness = _split_mismatch(frobsplit.frp_star(session.at_eps.monomial(a)), session.at_one,
+                              a, l)
+    if witness is not None:
+        witness["branch"] = "splitting"
+        return CheckOutcome(False, 2, witness=witness)
+    return CheckOutcome(True, 2)
+
+
+def _box(r, max_entry, l):
+    """Every vector with entries up to max_entry, then l times every 0-1
+    vector, so that l divides some at every order."""
+    return (list(itertools.product(range(max_entry + 1), repeat=r))
+            + [tuple(l * x for x in e) for e in itertools.product(range(2), repeat=r)])
+
+
+def _depth_one(preset, word):
+    return [cell_seed(preset, word)] + [cell_seed(preset, word, (p,))
+                                        for p in cell_seed(preset, word).btilde.cols]
+
+
+def _compare_with_whole_expansions(seeds, orders, max_entry) -> int:
+    """Assert the check and _reference_check give the same verdict, checked
+    and witness on every vector of the box at every order; the FAIL count."""
+    failed = 0
+    for seed in seeds:
+        for l in orders:
+            session, reference = TheoremSession(seed, l), TheoremSession(seed, l)
+            for a in _box(seed.rank, max_entry, l):
+                got, want = session.check(a), _reference_check(reference, a)
+                assert (got.passed, got.checked, got.witness) == (
+                    want.passed, want.checked, want.witness), (l, a)
+                failed += not got.passed
+    return failed
+
+
+G2_WORD = (0, 1, 0)
+DIFFERENTIAL = {
+    "A3-box": (lambda: _depth_one("A3", A3_WORD), (3, 5), 3),
+    "B2": (lambda: _seeds_to_depth_two("B2", B2_WORD), (3, 5, 7), 2),
+    "G2": (lambda: _depth_one("G2", G2_WORD), (5, 7), 3),
+    "A2-composite": (lambda: _seeds_to_depth_two("A2", A2_WORD), (9, 15), 3),
+    "frozen-scaled": (lambda: [_scaled_frozen_seed(s) for s in (
+        IntLaurent.v_power(1), IntLaurent.v_power(-2, -1))], (3, 5), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(DIFFERENTIAL))
+def test_check_matches_whole_expansions(case):
+    seeds, orders, max_entry = DIFFERENTIAL[case]
+    assert _compare_with_whole_expansions(seeds(), orders, max_entry) == 0
+
+
+def _reversed_eps_shift(monkeypatch):
+    shift = CycloInt.eps_shift
+    monkeypatch.setattr(CycloInt, "eps_shift", lambda c, k: shift(c, -k))
+
+
+def _suffix_twist_without_cross_term(monkeypatch):
+    split = SkewForm.suffix_twist
+
+    def dropped(form, s):
+        twist_s, w = split(form, s)
+        return twist_s, (0,) * len(w)
+
+    monkeypatch.setattr(SkewForm, "suffix_twist", dropped)
+
+
+def _fr_star_times_eps(monkeypatch):
+    push = frobsplit.fr_star
+
+    def broken(f):
+        out = push(f)
+        return out.scale(CycloInt.eps_power(out.ring.l, 1)) if len(out.terms) > 1 else out
+
+    monkeypatch.setattr(frobsplit, "fr_star", broken)
+
+
+def _frp_star_negated(monkeypatch):
+    split = frobsplit.frp_star
+    monkeypatch.setattr(frobsplit, "frp_star",
+                        lambda f: -out if len((out := split(f)).terms) > 1 else out)
+
+
+# a broken primitive that both checks call, and whether the check sees it
+BROKEN = {"reversed-eps-shift": (_reversed_eps_shift, False),
+          "no-cross-term": (_suffix_twist_without_cross_term, False),
+          "fr-star-times-eps": (_fr_star_times_eps, True),
+          "frp-star-negated": (_frp_star_negated, True)}
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_check_matches_whole_expansions_with_a_broken_primitive(name, monkeypatch):
+    # The check reads unit shifts and twists only on terms whose exponents
+    # l divides, of x^{la} or of x^a when l divides a, where each is a
+    # multiple of l, so a reversed rotation or a dropped twist term changes
+    # only terms it does not read.  The break must still reach an
+    # expansion at eps, or the case would compare unbroken code.
+    seeds = _depth_one("A3", A3_WORD)
+    probe = (1, 1, 1, 1, 0, 0)
+    before = [SeedExpander(seed, CycloRing(3, Point.EPS)).monomial(probe) for seed in seeds]
+    breaks, seen = BROKEN[name]
+    breaks(monkeypatch)
+    after = [SeedExpander(seed, CycloRing(3, Point.EPS)).monomial(probe) for seed in seeds]
+    assert seen or before != after
+    assert bool(_compare_with_whole_expansions(seeds, (3, 5), 1)) == seen
 
 
 def test_modp_division_on_cluster_monomials():
@@ -426,3 +606,17 @@ def test_modp_division_explicit_values():
     got = modp_split(exp.monomial((3, 0, 0)))
     assert set(got.terms) == {(1, 0, 0)}
     assert modp_split(exp.monomial((1, 0, 0))).is_zero
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_modp_division_matches_the_whole_split(p):
+    # the restricted expansion over the untwisted F_p against the split of
+    # the whole expansion, on the A3 box and on p times its 0-1 corner
+    for seed in _depth_one("A3", A3_WORD):
+        expander = SeedExpander(seed, PrimeField(p))
+        for a in _box(6, 3, p):
+            split = modp_split(expander.monomial(a))
+            assert modp_split(expander.monomial(a, p)) == split, a
+            got = check_modp_division(expander, a)
+            want = _split_mismatch(split, expander, a, p)
+            assert (got.passed, got.checked, got.witness) == (want is None, 1, want), a
