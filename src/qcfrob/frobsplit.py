@@ -143,13 +143,13 @@ class SeedExpander:
     c_q x^q -> v_shift(c_q, twist(a) + q.Mb) x^{q+b},
     times c only where c is not the ring's one.  Each term is a product of
     nonzero coefficients over a domain (Z[v, v^-1], Z[eps] or F_p), so none
-    needs canon.  Over a ring where v = 1 (at v = 1, and over F_p) every
-    unit shift is trivial and the twist is never summed.
+    needs canon.
 
-    monomial(a, d) keeps only the terms whose exponents d divides: those
-    with q = -b mod d.  The prefix product's terms are indexed by their
-    residue class mod d, memoized by (p, d), so the pass shifts only the
-    terms it keeps.
+    monomial(a, d) keeps only the terms whose exponents d divides, before
+    any shift.  On an expander at v = 1, pushforward(a) is the term dict of
+    fr_star(monomial(a)): every unit shift there is trivial, so x^a is
+    sum c_q c x^{q+b} over the block product of its prefix, fr_star runs
+    once per prefix on that product, and l b is added per call.
 
     Powers of single variables go to a table keyed by the ring, the ambient
     form, the variable's terms and the exponent: a private table by
@@ -170,10 +170,9 @@ class SeedExpander:
         self._pows = {} if powers is None else powers
         self._keys = [(ring, self.ambient, frozenset(y.terms.items()))
                       for y in self.variables]
-        self._untwisted = ring.v_power(1) == ring.one()
         self._prefix: dict = {}
-        self._classes: dict = {}
         self._suffix: dict = {}
+        self._pushed: dict = {}
 
     def _power(self, t: int, e: int) -> TorusElement:
         key = (self._keys[t], e)
@@ -208,19 +207,6 @@ class SeedExpander:
                                           *self.seed.lam.suffix_twist(suffix))
         return got
 
-    def _residue_class(self, prefix, d: int, b) -> tuple:
-        """(the terms c_q x^q of the block product with q + b divisible by
-        d, twist(prefix))."""
-        got = self._classes.get((prefix, d))
-        if got is None:
-            product, twist = self._block_product(prefix)
-            classes: dict = {}
-            for q, cq in product.terms.items():
-                classes.setdefault(tuple(x % d for x in q), []).append((q, cq))
-            got = self._classes[prefix, d] = (classes, twist)
-        classes, twist = got
-        return classes.get(tuple([-x % d for x in b]), ()), twist
-
     def monomial(self, a, divisor: int = 1) -> TorusElement:
         """Expansion of the normalized cluster monomial x^a at this ring,
         restricted to the terms whose exponents divisor divides."""
@@ -230,22 +216,31 @@ class SeedExpander:
         if divisor < 1:
             raise ValueError("divisor must be a positive integer")
         prefix = a[:self._block]
+        product, twist = self._block_product(prefix)
         b, c, mb, twist_s, w = self._suffix_monomial(a[self._block:])
-        if divisor == 1:
-            product, twist = self._block_product(prefix)
-            terms = product.terms.items()
-        else:
-            terms, twist = self._residue_class(prefix, divisor, b)
-        ring = self.ring
-        if self._untwisted:
-            out = {tuple(map(add, q, b)): cq if c is None else ring.mul_v(cq, c, 0)
-                   for q, cq in terms}
-        else:
-            twist += twist_s + sum(map(mul, prefix, w))
-            shift = ring.v_shift if c is None else lambda cq, k: ring.mul_v(cq, c, k)
-            out = {tuple(map(add, q, b)): shift(cq, twist + sum(map(mul, q, mb)))
-                   for q, cq in terms}
-        return TorusElement.from_canonical(ring, self.ambient, out)
+        terms = product.terms.items()
+        if divisor != 1:
+            terms = [(q, cq) for q, cq in terms
+                     if not any(map(divisor.__rmod__, map(add, q, b)))]
+            if not terms:
+                return TorusElement.zero(self.ring, self.ambient)
+        twist += twist_s + sum(map(mul, prefix, w))
+        shift = self.ring.v_shift if c is None else lambda cq, k: self.ring.mul_v(cq, c, k)
+        return TorusElement.from_canonical(self.ring, self.ambient, {
+            tuple(map(add, q, b)): shift(cq, twist + sum(map(mul, q, mb)))
+            for q, cq in terms})
+
+    def pushforward(self, a) -> dict:
+        """The terms of fr_star(monomial(a)), on an expander at v = 1."""
+        prefix = a[:self._block]
+        pushed = self._pushed.get(prefix)
+        if pushed is None:
+            pushed = self._pushed[prefix] = fr_star(self._block_product(prefix)[0]).terms
+        b, c, *_ = self._suffix_monomial(a[self._block:])
+        lb = tuple([self.ring.l * x for x in b])
+        if c is None:
+            return {tuple(map(add, q, lb)): cq for q, cq in pushed.items()}
+        return {tuple(map(add, q, lb)): self.ring.mul_v(cq, c, 0) for q, cq in pushed.items()}
 
 
 def _first_difference(left: TorusElement, right: TorusElement) -> dict:
@@ -289,12 +284,11 @@ class TheoremSession:
     splitting takes x^a at eps to x^{a/l} at 1 (zero when l does not
     divide a).
 
-    At v = 1 every unit shift is trivial, so x^a at 1 is
-    sum c_q c x^{q+b} over the block product of its prefix, and its
-    pushforward is sum c_q c x^{lq+lb}: fr_star runs once per prefix, on
-    the v = 1 block product, and l b is kept once per suffix.  The
-    splitting sees only the terms of x^a at eps whose exponents l divides,
-    so that branch expands only those (monomial(a, l)) before frp_star.
+    The pushforward branch compares at_one.pushforward(a), which applies
+    fr_star once per block prefix, with the expansion of x^{la} at eps.
+    The splitting sees only the terms of x^a at eps whose exponents l
+    divides, so that branch expands only those (monomial(a, l)) before
+    frp_star.
 
     powers, when given, is a SeedExpander power table that both expanders
     share, and that may outlive the session to serve later seeds."""
@@ -305,24 +299,6 @@ class TheoremSession:
         self.l = l
         self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE), powers)
         self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS), powers)
-        self._pushed: dict = {}
-        self._lifted: dict = {}
-
-    def _pushforward(self, a) -> dict:
-        """The terms of fr_star(x^a at v = 1)."""
-        at_one = self.at_one
-        prefix, suffix = a[:at_one._block], a[at_one._block:]
-        pushed = self._pushed.get(prefix)
-        if pushed is None:
-            pushed = self._pushed[prefix] = fr_star(at_one._block_product(prefix)[0]).terms
-        got = self._lifted.get(suffix)
-        if got is None:
-            b, c, *_ = at_one._suffix_monomial(suffix)
-            got = self._lifted[suffix] = (tuple(self.l * x for x in b), c)
-        lb, c = got
-        if c is None:
-            return {tuple(map(add, q, lb)): cq for q, cq in pushed.items()}
-        return {tuple(map(add, q, lb)): at_one.ring.mul_v(cq, c, 0) for q, cq in pushed.items()}
 
     def check(self, a) -> CheckOutcome:
         l = self.l
@@ -331,7 +307,7 @@ class TheoremSession:
             raise ValueError("cluster monomial exponents must be nonnegative")
 
         scaled = self.at_eps.monomial(tuple([l * x for x in a]))
-        pushed = self._pushforward(a)
+        pushed = self.at_one.pushforward(a)
         if pushed != scaled.terms:
             pushed = TorusElement.from_canonical(scaled.ring, scaled.form, pushed)
             witness = _first_difference(pushed, scaled)
