@@ -39,9 +39,12 @@ _VECTOR_CAP = 200_000
 # sequences, or sequences times depth when they are enumerated.  A seed is
 # built by at most that many mutations and keeps none of its history.
 _MUTATION_CAP = 100_000
-# Coproduct splits commutation_matrix may evaluate, summed over the pairs of
-# minors and the words of their weight.  One split cost 3-11 us on 2 cores
-# where one word cost 0.18-18 ms; the A3 longest word needs 14,208 splits.
+# Coproduct splits the commutation form is charged: for each pair of minors,
+# the words of their weight times the splits of one word by the weight of
+# either factor.  commutation_matrix multiplies by quantum shuffles of the
+# minors' supports and visits far fewer words, so this is a conservative
+# bound until a cost model in shuffles replaces it; the A3 longest word is
+# charged 14,208 splits.
 _LAMBDA_CAP = 2_000_000
 # Divided words one BASE_CASE check may enumerate.
 _MINOR_CAP = 1_000_000
@@ -284,7 +287,7 @@ class Campaign:
                 raise CampaignError(f"cartan: {exc}") from None
             gammas = [chain_minor_weight(datum, word, t) for t in range(len(word))]
 
-        # commutation_matrix evaluates both products of minors t < k on every
+        # Charged as if both products of minors t < k were evaluated on every
         # word of weight gamma_t + gamma_k, each through the word's splits
         # whose right part has the weight of the right factor.
         if computes_form:

@@ -19,7 +19,12 @@ from operator import add, neg, sub
 
 
 class ExactDivisionError(ArithmeticError):
-    """Raised when a division that must be exact leaves a remainder."""
+    """Raised when a division that must be exact leaves a remainder;
+    `witness`, when the raiser gives one, names the value's input."""
+
+    def __init__(self, message: str = "", witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class Point(enum.Enum):

@@ -5,9 +5,16 @@ Integrable highest-weight modules are realized on formal lowering words,
 and every functional here is a matrix coefficient of the action on such a
 module, so it kills the quantum Serre relations without any quotient being
 taken (the tests check this on the minors).  Quantum minors are the matrix
-coefficients at extremal vectors; they multiply through the twisted
-coproduct, and divided powers carry the Frobenius-type exponent division by
-the root-of-unity order.
+coefficients at extremal vectors; divided powers carry the Frobenius-type
+exponent division by the root-of-unity order.
+
+A functional is held on its support, as {word: value} over the words where
+it does not vanish.  The product of two functionals, dual to the twisted
+coproduct, is the quantum shuffle of their supports (Rosso, Invent. Math.
+133, 1998; Leclerc, Adv. Math. 190, 2004): each pair of support words
+contributes on every interleaving of the two, times a v power.  A minor
+finds its support by a depth-first search over e-actions from its extremal
+vector that stops wherever the vector dies.
 
 Every module vector and functional value lies in Z[v, v^-1]: divided powers
 act integrally on integrable modules (Lusztig's integral form).  A minor
@@ -17,8 +24,9 @@ divided word is evaluated on its underlying word and divided exactly by
 prod [n]!.  These are the only two divisions, and an inexact one raises
 ExactDivisionError.
 
-The e-action memo is owned by one top-level call (commutation_matrix,
-check_frobenius_on_minor or check_minor_power) and dies with it.
+The e-action memo and every support are owned by one top-level call
+(commutation_matrix, check_frobenius_on_minor or check_minor_power) and
+die with it.
 """
 
 from __future__ import annotations
@@ -33,36 +41,6 @@ from .rootdatum import CartanData, RootVector, Weight
 
 class NotQCommutingError(ValueError):
     """Two functionals failed to commute up to a single integer power of q."""
-
-
-def word_weight(datum: CartanData, word) -> RootVector:
-    counts = [0] * datum.n
-    for i in word:
-        counts[i] += 1
-    return RootVector(tuple(counts))
-
-
-def words_of_weight(datum: CartanData, gamma: RootVector):
-    """All words using exactly gamma_i copies of each letter i."""
-    counts = list(gamma.coords)
-    if any(c < 0 for c in counts):
-        return []
-    out = []
-
-    def rec(acc):
-        if not any(counts):
-            out.append(tuple(acc))
-            return
-        for i in range(datum.n):
-            if counts[i]:
-                counts[i] -= 1
-                acc.append(i)
-                rec(acc)
-                acc.pop()
-                counts[i] += 1
-
-    rec([])
-    return out
 
 
 def word_count(gamma: RootVector) -> int:
@@ -107,47 +85,6 @@ def word_splits(datum: CartanData, word):
     return out
 
 
-def splits_with_right_weight(datum: CartanData, word, gamma: RootVector):
-    """The (left, right, e) triples of word_splits whose right part has
-    weight gamma, enumerated directly: gamma_i of the positions of each
-    letter i go right.
-
-    With suf[s] = sum over k > s of (alpha_{w_s}, alpha_{w_k}), the twist of
-    a right part R is -2 (sum over s in R of suf[s], minus the pairs inside
-    R); the pairs inside R sum to ((gamma, gamma) - sum_i gamma_i (alpha_i,
-    alpha_i)) / 2 whatever R is, as the form is symmetric.
-    """
-    rf = datum.root_form
-    n, m = datum.n, len(word)
-    after = [0] * n
-    suf = [0] * m
-    for s in range(m - 1, -1, -1):
-        i = word[s]
-        suf[s] = sum(rf(i, j) * after[j] for j in range(n) if after[j])
-        after[i] += 1
-    g = gamma.coords
-    inner = (sum(g[i] * g[j] * rf(i, j) for i in range(n) for j in range(n))
-             - sum(g[i] * rf(i, i) for i in range(n))) // 2
-    # per letter: (right positions, left positions, sum of suf over the right)
-    per_letter = []
-    for i in range(n):
-        positions = [p for p in range(m) if word[p] == i]
-        per_letter.append([(list(c), [p for p in positions if p not in c],
-                            sum(suf[p] for p in c))
-                           for c in itertools.combinations(positions, g[i])])
-    letter = word.__getitem__
-    for choice in itertools.product(*per_letter):
-        rpos, lpos, total = [], [], 0
-        for r, lft, sr in choice:
-            rpos += r
-            lpos += lft
-            total += sr
-        rpos.sort()
-        lpos.sort()
-        yield (tuple(map(letter, lpos)), tuple(map(letter, rpos)),
-               2 * (inner - total))
-
-
 # -- integrable modules on lowering words ----------------------------------
 #
 # A vector in V(hw) is a dict {fword: IntLaurent}; the fword (j_1, ..., j_m)
@@ -184,15 +121,6 @@ def e_act(datum: CartanData, hw: Weight, i: int, vec: dict, cache: dict) -> dict
     return {w: c for w, c in out.items() if c}
 
 
-def word_act(datum: CartanData, hw: Weight, word, vec: dict, cache: dict) -> dict:
-    """Apply e_{a_1} ... e_{a_m} to a vector, rightmost factor first."""
-    for i in reversed(word):
-        if not vec:
-            break
-        vec = e_act(datum, hw, i, vec, cache)
-    return vec
-
-
 def extremal_fword(datum: CartanData, hw: Weight, word):
     """The extremal vector of weight word(hw) as (fword, divisor): the
     lowering word f_{i_1}^{a_1} ... f_{i_r}^{a_r} and prod [a_t]!, the
@@ -224,29 +152,22 @@ def extremal_fword(datum: CartanData, hw: Weight, word):
 # -- functionals and quantum minors ----------------------------------------
 
 class Functional:
-    """Weight-homogeneous functional on the free algebra, cached per word."""
+    """Weight-homogeneous functional on the free algebra, held as its
+    nonzero values {word: IntLaurent}, all on words of weight gamma."""
 
-    __slots__ = ("datum", "gamma", "_fn", "_cache")
+    __slots__ = ("datum", "gamma", "values")
 
-    def __init__(self, datum, gamma: RootVector, fn):
+    def __init__(self, datum, gamma: RootVector, values: dict):
         self.datum = datum
         self.gamma = gamma
-        self._fn = fn
-        self._cache: dict = {}
+        self.values = values
 
     def __call__(self, word) -> IntLaurent:
-        word = tuple(word)
-        hit = self._cache.get(word)
-        if hit is None:
-            if word_weight(self.datum, word) == self.gamma:
-                hit = self._fn(word)
-            else:
-                hit = IntLaurent.zero()
-            self._cache[word] = hit
-        return hit
+        hit = self.values.get(tuple(word))
+        return IntLaurent.zero() if hit is None else hit
 
     def __mul__(self, other: "Functional") -> "Functional":
-        return functional_mul(self, other)
+        return shuffle_product(self, other)
 
     def __pow__(self, n: int) -> "Functional":
         if n < 0:
@@ -261,46 +182,85 @@ class Functional:
 
 
 def counit(datum: CartanData) -> Functional:
-    zero_wt = RootVector((0,) * datum.n)
-    return Functional(datum, zero_wt, lambda word: IntLaurent.one())
+    return Functional(datum, RootVector((0,) * datum.n), {(): IntLaurent.one()})
 
 
-def functional_mul(phi: Functional, psi: Functional) -> Functional:
-    """Product in the graded dual: evaluate through the twisted coproduct.
+def shuffle_product(phi: Functional, psi: Functional) -> Functional:
+    """Product in the graded dual, dual to the twisted coproduct: the
+    quantum shuffle of the two supports.
 
-    (phi psi)(x) pairs phi with the left coproduct factor and psi with the
-    right one, including the split twist; only the splits whose right part
-    has psi's weight can contribute.
+    For u in supp phi and r in supp psi, every interleaving w of u (read on
+    the left factor's positions) and r gets phi(u) psi(r) v^e, where e is
+    the twist of the coproduct split sending u left and r right: -2 times
+    the sum of (alpha_{w_s}, alpha_{w_k}) over pairs s < k with s from r
+    and k from u.
     """
     if phi.datum != psi.datum:
         raise ValueError("functionals over different Cartan data")
     datum = phi.datum
-
-    def fn(word):
-        acc: dict = {}
-        for lw, rw, expo in splits_with_right_weight(datum, word, psi.gamma):
-            a = phi(lw)
-            if not a:
-                continue
-            b = psi(rw)
-            if not b:
-                continue
-            for ea, ca in a.terms.items():
-                for eb, cb in b.terms.items():
-                    e = ea + eb + expo
-                    acc[e] = acc.get(e, 0) + ca * cb
-        return IntLaurent(acc)
-
-    return Functional(datum, phi.gamma + psi.gamma, fn)
+    rf = datum.root_form
+    acc: dict = {}
+    if phi.values and psi.values:
+        m = len(next(iter(phi.values)))
+        k = len(next(iter(psi.values)))
+        # per interleaving: the index in u + r of the letter at each
+        # position, and for each letter of u the number of letters of r
+        # before it
+        shapes = []
+        for pos in itertools.combinations(range(m + k), m):
+            order = [0] * (m + k)
+            for i, p in enumerate(pos):
+                order[p] = i
+            rest = (p for p in range(m + k) if p not in pos)
+            for j, p in enumerate(rest):
+                order[p] = m + j
+            shapes.append((order, [p - i for i, p in enumerate(pos)]))
+        letters = range(datum.n)
+        for r, b in psi.values.items():
+            # before[j][x] = -2 * sum over the first j letters y of r of (alpha_y, alpha_x)
+            before = [[0] * datum.n]
+            for y in r:
+                before.append([c - 2 * rf(y, x) for c, x in zip(before[-1], letters)])
+            for u, a in phi.values.items():
+                ur = u + r
+                twists = [[row[x] for row in before] for x in u]
+                # interleavings that spell one word: how many per twist
+                spelled: dict = {}
+                for order, ahead in shapes:
+                    word = tuple(map(ur.__getitem__, order))
+                    e = sum(map(list.__getitem__, twists, ahead))
+                    counts = spelled.get(word)
+                    if counts is None:
+                        spelled[word] = {e: 1}
+                    else:
+                        counts[e] = counts.get(e, 0) + 1
+                terms = (a * b).terms.items()
+                for word, counts in spelled.items():
+                    out = acc.get(word)
+                    if out is None:
+                        out = acc[word] = {}
+                    for e, n in counts.items():
+                        for ex, c in terms:
+                            out[ex + e] = out.get(ex + e, 0) + n * c
+    values = {}
+    for word, terms in acc.items():
+        val = IntLaurent(terms)
+        if val:
+            values[word] = val
+    return Functional(datum, phi.gamma + psi.gamma, values)
 
 
 def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Functional:
     """Matrix coefficient x -> (x v_{w hw}, v_hw) for w the given word prefix.
 
-    Supported on the single weight hw - w(hw); the pairing against the
-    highest weight vector picks the empty-fword coefficient after acting on
-    the extremal fword, which is then divided by prod [a_t]!.  `cache`
-    memoizes the e-action; by default the minor owns one.
+    Supported on the single weight hw - w(hw).  The value on a word is the
+    empty-fword coefficient after acting on the extremal fword, divided by
+    prod [a_t]!; the words where it is nonzero are found by applying e_i
+    for the word's letters from the right, depth first, leaving a branch
+    as soon as the vector is zero.  `cache` memoizes the e-action; by
+    default the minor owns one.  An inexact division raises
+    ExactDivisionError with the first such word, in lexicographic order,
+    as its witness.
     """
     prefix = tuple(prefix)
     fword, divisor = extremal_fword(datum, hw, prefix)
@@ -309,13 +269,28 @@ def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Function
     if any(c < 0 for c in gamma.coords):
         raise ValueError("extremal weight not below the highest weight")
     cache = {} if cache is None else cache
-    target = {fword: IntLaurent.one()}
+    values: dict = {}
+    suffix: list = []
 
-    def fn(word):
-        val = word_act(datum, hw, word, target, cache).get(())
-        return IntLaurent.zero() if val is None else val.exact_div(divisor)
+    def search(vec):
+        if len(suffix) == len(fword):
+            values[tuple(reversed(suffix))] = vec[()]
+            return
+        for i in range(datum.n):
+            step = e_act(datum, hw, i, vec, cache)
+            if step:
+                suffix.append(i)
+                search(step)
+                suffix.pop()
 
-    return Functional(datum, gamma, fn)
+    search({fword: IntLaurent.one()})
+    if not divisor.is_one:
+        for word in sorted(values):
+            try:
+                values[word] = values[word].exact_div(divisor)
+            except ExactDivisionError as exc:
+                raise ExactDivisionError(str(exc), witness=word) from None
+    return Functional(datum, gamma, values)
 
 
 def cell_minors(datum: CartanData, word) -> list:
@@ -336,8 +311,10 @@ def chain_minor_weight(datum: CartanData, word, t: int) -> RootVector:
 def commutation_matrix(datum: CartanData, word) -> tuple:
     """Commutation exponents of the minor chain: D_k D_t = q^{m_tk} D_t D_k for t < k.
 
-    Each pair is verified on every word of the combined weight; failure to
-    q-commute by a single even power of v raises NotQCommutingError.
+    Each pair is compared on the union of the two products' supports, in
+    lexicographic order; every other word of the weight is zero on both
+    sides.  Failure to q-commute by a single even power of v raises
+    NotQCommutingError.
     """
     word = tuple(word)
     minors = cell_minors(datum, word)
@@ -348,13 +325,11 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
             left = minors[k] * minors[t]    # D_k D_t
             right = minors[t] * minors[k]   # D_t D_k
             m = None
-            for w in words_of_weight(datum, left.gamma):
+            for w in sorted(left.values.keys() | right.values.keys()):
                 a, b = left(w), right(w)
                 if a.is_zero != b.is_zero:
                     raise NotQCommutingError(
                         f"minors {t}, {k}: value vanishes on one side only at {w}")
-                if a.is_zero:
-                    continue
                 expo = a.min_exp() - b.min_exp()
                 if expo % 2 or a != b.shifted(expo):
                     raise NotQCommutingError(
@@ -373,32 +348,6 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
 
 # -- divided words and Frobenius-type exponent maps ------------------------
 
-def divided_words_of_weight(datum: CartanData, gamma: RootVector):
-    """Yield every product of divided generator powers with the given total
-    weight.
-
-    Entries are (letter, power) pairs with power >= 1; consecutive equal
-    letters are allowed, so e_i^{(1)} e_i^{(1)} and e_i^{(2)} both occur.
-    """
-    remaining = list(gamma.coords)
-    if any(c < 0 for c in remaining):
-        return
-
-    def rec(acc):
-        if not any(remaining):
-            yield tuple(acc)
-            return
-        for i in range(datum.n):
-            for p in range(1, remaining[i] + 1):
-                remaining[i] -= p
-                acc.append((i, p))
-                yield from rec(acc)
-                acc.pop()
-                remaining[i] += p
-
-    yield from rec([])
-
-
 def divided_word_count(gamma: RootVector) -> int:
     """Number of divided words of weight gamma, without enumerating them:
     the entries of letter i form a composition of gamma_i into some k_i
@@ -414,21 +363,27 @@ def divided_word_count(gamma: RootVector) -> int:
     return total
 
 
-def divided_value(f: Functional, dword, divisors: dict) -> IntLaurent:
+def divided_value(f: Functional, dword, memo: dict) -> IntLaurent:
     """f on e_{i_1}^{(n_1)} e_{i_2}^{(n_2)} ...: f on the underlying word,
-    divided exactly by prod [n]!.  `divisors` memoizes the divisor per
-    multiset of powers."""
-    val = f([i for i, n in dword for _ in range(n)])
+    divided exactly by prod [n]!.  `memo` holds, for one f and per multiset
+    of powers, the divisor and the quotients taken by it."""
+    word = tuple(i for i, n in dword for _ in range(n))
+    val = f(word)
     if not val:
         return val
     key = tuple(sorted(dword))
-    divisor = divisors.get(key)
-    if divisor is None:
+    entry = memo.get(key)
+    if entry is None:
         divisor = IntLaurent.one()
         for i, n in key:
-            divisor = divisor * qfactorial(n, f.datum.sym[i])
-        divisors[key] = divisor
-    return val.exact_div(divisor)
+            if n > 1:
+                divisor = divisor * qfactorial(n, f.datum.sym[i])
+        entry = memo[key] = (divisor, {})
+    divisor, quotients = entry
+    hit = quotients.get(word)
+    if hit is None:
+        hit = quotients[word] = val.exact_div(divisor)
+    return hit
 
 
 def fr_divided(dword, l: int):
@@ -441,6 +396,59 @@ def fr_divided(dword, l: int):
     return tuple(out)
 
 
+def divided_words_meeting(datum: CartanData, gamma: RootVector, prefixes):
+    """The products of divided generator powers e_{i_1}^{(n_1)} ... of
+    total weight gamma whose underlying words can reach `prefixes`, a
+    prefix-closed set of words.
+
+    Entries are (letter, power) pairs with power >= 1; consecutive equal
+    letters are allowed, so e_i^{(1)} e_i^{(1)} and e_i^{(2)} both occur.
+    The divided words are walked as a tree in lexicographic order, and a
+    subtree is cut off where its underlying word prefix is not in
+    `prefixes`: yields each divided word kept, and for each subtree cut
+    the number of divided words in it.
+    """
+    remaining = list(gamma.coords)
+    counts: dict = {}
+
+    def rec(acc, under):
+        if under not in prefixes:
+            key = tuple(remaining)
+            n = counts.get(key)
+            if n is None:
+                n = counts[key] = divided_word_count(RootVector(key))
+            yield n
+        elif not any(remaining):
+            yield tuple(acc)
+        else:
+            for i in range(datum.n):
+                for p in range(1, remaining[i] + 1):
+                    remaining[i] -= p
+                    acc.append((i, p))
+                    yield from rec(acc, under + (i,) * p)
+                    acc.pop()
+                    remaining[i] += p
+
+    yield from rec([], ())
+
+
+def word_rank(n: int, word) -> int:
+    """1-based position of a word over letters 0..n-1 in the lexicographic
+    order of the words of its weight, without enumerating them."""
+    counts = [0] * n
+    for i in word:
+        counts[i] += 1
+    rank = 1
+    for x in word:
+        for i in range(x):
+            if counts[i]:
+                counts[i] -= 1
+                rank += word_count(RootVector(tuple(counts)))
+                counts[i] += 1
+        counts[x] -= 1
+    return rank
+
+
 # -- specialization checks -------------------------------------------------
 
 @dataclass
@@ -451,6 +459,11 @@ class CheckOutcome:
     note: str = ""
 
 
+def _not_specializable(checked: int, witness, exc) -> CheckOutcome:
+    return CheckOutcome(False, checked, witness=witness,
+                        note=f"value not specializable: {exc}")
+
+
 def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     """Base-case transfer identity for one chain minor.
 
@@ -458,25 +471,39 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     the exponent-divided image of f, specialized at v = 1, must equal the
     value of D_t^l on f specialized at the root of unity.  Divided words
     with some power not divisible by l must be killed on the root-of-unity
-    side.
+    side.  Both sides vanish on a divided word whose underlying word is
+    neither in supp D_t^l nor an l-fold stretch of a word in supp D_t, so
+    only the others are evaluated; `checked` still counts every divided
+    word up to the first failure, in lexicographic order.
+    An inexact minor division fails with the minor's word as witness and
+    nothing checked.
     """
     word = tuple(word)
-    minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
+    try:
+        minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
+    except ExactDivisionError as exc:
+        return _not_specializable(0, exc.witness, exc)
     power = minor ** l
-    divisors: dict = {}
+    reach = set(power.values)
+    reach.update(tuple(i for i in u for _ in range(l)) for u in minor.values)
+    prefixes = {w[:k] for w in reach for k in range(len(w) + 1)}
+    minor_memo: dict = {}
+    power_memo: dict = {}
     checked = 0
-    for dword in divided_words_of_weight(datum, l * minor.gamma):
+    for dword in divided_words_meeting(datum, l * minor.gamma, prefixes):
+        if isinstance(dword, int):
+            checked += dword
+            continue
         checked += 1
         down = fr_divided(dword, l)
         try:
             if down is None:
                 lhs = specialize(IntLaurent.zero(), l, Point.ONE)
             else:
-                lhs = specialize(divided_value(minor, down, divisors), l, Point.ONE)
-            rhs = specialize(divided_value(power, dword, divisors), l, Point.EPS)
+                lhs = specialize(divided_value(minor, down, minor_memo), l, Point.ONE)
+            rhs = specialize(divided_value(power, dword, power_memo), l, Point.EPS)
         except ExactDivisionError as exc:
-            return CheckOutcome(False, checked, witness=dword,
-                                note=f"value not specializable: {exc}")
+            return _not_specializable(checked, dword, exc)
         if lhs != rhs:
             return CheckOutcome(False, checked, witness=dword,
                                 note=f"one-side {lhs!r} vs eps-side {rhs!r}")
@@ -487,28 +514,28 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     """Generic-q identity: D_t^l equals the rescaled-weight minor up to a v power.
 
     The l-th dual power of D(w hw, hw) must equal v^{-l(l-1)(hw, hw - w hw)}
-    times D(w(l hw), l hw), compared on every word of the common weight.
+    times D(w(l hw), l hw).  Both sides are compared on the union of their
+    supports; `checked` is the number of words of the common weight, or on
+    a failure the rank of the first failing word in lexicographic order.
+    An inexact minor division fails with the minor's word as witness and
+    nothing checked.
     """
     word = tuple(word)
     prefix = word[: t + 1]
     hw = datum.fundamental(word[t])
     cache: dict = {}
-    minor = quantum_minor(datum, hw, prefix, cache)
+    try:
+        minor = quantum_minor(datum, hw, prefix, cache)
+        big = quantum_minor(datum, l * hw, prefix, cache)
+    except ExactDivisionError as exc:
+        return _not_specializable(0, exc.witness, exc)
     power = minor ** l
-    big = quantum_minor(datum, l * hw, prefix, cache)
     low = datum.apply_word(prefix, hw)
     # an integer, as (hw, alpha_j) = t_i delta_ij and hw - low is in the root lattice
-    shift = datum.pairing(hw, hw - low) * l * (l - 1)
-    checked = 0
-    for w in words_of_weight(datum, power.gamma):
-        checked += 1
-        try:
-            lhs = power(w)
-            rhs = big(w).shifted(-int(shift))
-        except ExactDivisionError as exc:
-            return CheckOutcome(False, checked, witness=w,
-                                note=f"value not specializable: {exc}")
+    shift = -int(datum.pairing(hw, hw - low) * l * (l - 1))
+    for w in sorted(power.values.keys() | big.values.keys()):
+        lhs, rhs = power(w), big(w).shifted(shift)
         if lhs != rhs:
-            return CheckOutcome(False, checked, witness=w,
+            return CheckOutcome(False, word_rank(datum.n, w), witness=w,
                                 note=f"{lhs!r} vs {rhs!r}")
-    return CheckOutcome(True, checked)
+    return CheckOutcome(True, word_count(power.gamma))

@@ -14,7 +14,9 @@ as well: only tests use them.
 
 from qcfrob.coeff import RatFunc, qfactorial, qint
 from qcfrob.rootdatum import RootVector
-from qcfrob.uqn import word_splits, word_weight, words_of_weight
+from qcfrob.uqn import word_splits
+
+from _split_uqn import word_weight, words_of_weight
 
 _EACT_CACHE: dict = {}
 

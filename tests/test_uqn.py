@@ -1,36 +1,41 @@
 """Coproduct, modules, quantum minors, and divided-power maps."""
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
+from qcfrob import uqn
+from qcfrob.cli import Campaign, run
 from qcfrob.coeff import IntLaurent, Point, RatFunc, qbinom, qfactorial, qint, specialize
-from qcfrob.rootdatum import RootVector, Weight, cartan_preset
+from qcfrob.rootdatum import CartanData, RootVector, Weight, cartan_preset
 from qcfrob.uqn import (
     cell_minors,
     chain_minor_weight,
     check_frobenius_on_minor,
+    NotQCommutingError,
     check_minor_power,
     commutation_matrix,
     counit,
     divided_value,
     divided_word_count,
-    divided_words_of_weight,
+    divided_words_meeting,
     extremal_fword,
     fr_divided,
     quantum_minor,
     split_count,
-    splits_with_right_weight,
     word_count,
+    word_rank,
     word_splits,
-    word_weight,
-    words_of_weight,
 )
 
 import _ratfunc_uqn as oracle
+import _split_uqn as per_word
 from _ratfunc_uqn import (FreeElt, coproduct, divided_to_free, extremal_vector,
                           pair_vectors, tensor_mul, weight_space_rank)
+from _split_uqn import (divided_words_of_weight, splits_with_right_weight, word_weight,
+                        words_of_weight)
 
 A1 = cartan_preset("A1")
 A2 = cartan_preset("A2")
@@ -246,6 +251,14 @@ def test_commutation_matrix_longer_words():
                   (2, 0, 0, 0),
                   (0, 0, 0, 0),
                   (0, 0, 0, 0))
+    assert commutation_matrix(G2, (0, 1, 0, 1)) == ((0, -3, -1, -3),
+                                                    (3, 0, 0, -3),
+                                                    (1, 0, 0, -3),
+                                                    (3, 3, 3, 0))
+    assert commutation_matrix(G2, (1, 0, 1, 0)) == ((0, -3, -3, -3),
+                                                    (3, 0, 0, -1),
+                                                    (3, 0, 0, -3),
+                                                    (3, 1, 3, 0))
 
 
 def test_divided_frobenius_maps():
@@ -291,6 +304,178 @@ def test_specialization_example_inside_check():
     # while dividing by [3]! first leaves the unit q^-3
     assert val.exact_div(qint(2, 1) * qint(3, 1)) == lp(-6)
     assert divided_value(cubed, ((0, 3),), {}) == lp(-6)
+
+
+def test_word_rank_is_enumeration_order():
+    for datum, coords in [(A2, (2, 2)), (B2, (3, 1)), (cartan_preset("A3"), (1, 2, 1))]:
+        words = words_of_weight(datum, RootVector(coords))
+        assert [word_rank(datum.n, w) for w in words] == list(range(1, len(words) + 1))
+
+
+def test_divided_words_meeting_keeps_order_and_count():
+    gamma = RootVector((3, 2))
+    every = list(divided_words_of_weight(A2, gamma))
+    meet = {(0, 0, 1, 0, 1), (1, 1, 0, 0, 0), (0, 1, 0, 1, 0)}
+    prefixes = {w[:k] for w in meet for k in range(len(w) + 1)}
+    seen, kept = 0, []
+    for item in divided_words_meeting(A2, gamma, prefixes):
+        if isinstance(item, int):
+            seen += item
+        else:
+            kept.append((seen, item))
+            seen += 1
+    assert seen == len(every) == divided_word_count(gamma)
+    assert kept == [(n, d) for n, d in enumerate(every)
+                    if tuple(i for i, p in d for _ in range(p)) in meet]
+
+
+# -- the quantum shuffles against the per-word oracle ----------------------
+#
+# On every word of its weight: each minor, product and power that the
+# sample campaigns and workloads form (A2 at l = 3 and 5, B2 at l = 3, the
+# A3 and B2 commutation pairs), and those of A3 at l = 3 and G2 [1,2,1].
+
+def _assert_same_values(datum, new, old):
+    assert new.gamma == old.gamma
+    words = words_of_weight(datum, new.gamma)
+    assert set(new.values) <= set(words) and all(new.values.values())
+    assert [new(w) for w in words] == [old(w) for w in words]
+
+
+@pytest.mark.parametrize("name, word, l, positions", [
+    ("A2", (0, 1, 0), 3, range(3)),
+    ("A2", (0, 1, 0), 5, range(3)),
+    ("B2", (0, 1, 0, 1), 3, range(4)),
+    # position 5 has D^3 on 18,480 words: 14 s on the per-word oracle
+    ("A3", (0, 1, 0, 2, 1, 0), 3, (0, 1, 2, 3, 5)),
+], ids=["A2-l3", "A2-l5", "B2-l3", "A3-l3"])
+def test_minor_powers_match_per_word_oracle(name, word, l, positions):
+    # BASE_CASE and KKKO: D_t, each power up to D_t^l, and the l hw minor
+    datum = cartan_preset(name)
+    for t in positions:
+        hw, prefix = datum.fundamental(word[t]), word[: t + 1]
+        new = quantum_minor(datum, hw, prefix)
+        old = per_word.quantum_minor(datum, hw, prefix)
+        _assert_same_values(datum, new, old)
+        pn, po = counit(datum), per_word.counit(datum)
+        for _ in range(l):
+            pn, po = pn * new, po * old
+            _assert_same_values(datum, pn, po)
+        _assert_same_values(datum, quantum_minor(datum, l * hw, prefix),
+                            per_word.quantum_minor(datum, l * hw, prefix))
+
+
+@pytest.mark.parametrize("name, word", [
+    ("A3", (0, 1, 0, 2, 1, 0)), ("B2", (0, 1, 0, 1)), ("G2", (0, 1, 0)),
+])
+def test_commutation_products_match_per_word_oracle(name, word):
+    datum = cartan_preset(name)
+    new, old = cell_minors(datum, word), per_word.cell_minors(datum, word)
+    for t, k in itertools.combinations(range(len(word)), 2):
+        _assert_same_values(datum, new[k] * new[t], old[k] * old[t])
+        _assert_same_values(datum, new[t] * new[k], old[t] * old[k])
+
+
+def _base_case_on_every_divided_word(datum, word, t, l):
+    """check_frobenius_on_minor without the pruning: every divided word of
+    the weight evaluated, in order."""
+    minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
+    power = minor ** l
+    checked = 0
+    for dword in divided_words_of_weight(datum, l * minor.gamma):
+        checked += 1
+        down = fr_divided(dword, l)
+        lhs = specialize(IntLaurent.zero() if down is None
+                         else divided_value(minor, down, {}), l, Point.ONE)
+        rhs = specialize(divided_value(power, dword, {}), l, Point.EPS)
+        if lhs != rhs:
+            return (False, checked, dword)
+    return (True, checked, None)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_pruned_base_case_matches_every_divided_word(monkeypatch, drop):
+    # a power that lost its first support word fails some checks, and the
+    # pruned walk must name the same witness after the same count
+    if drop:
+        power = uqn.Functional.__pow__
+
+        def dropping(self, n):
+            out = power(self, n)
+            del out.values[min(out.values)]
+            return out
+
+        monkeypatch.setattr(uqn.Functional, "__pow__", dropping)
+    verdicts = []
+    for name, word, positions in [("A2", (0, 1, 0), range(3)), ("B2", (0, 1, 0, 1), range(3))]:
+        datum = cartan_preset(name)
+        for t in positions:
+            out = check_frobenius_on_minor(datum, word, t, 3)
+            assert (out.passed, out.checked, out.witness) == (
+                _base_case_on_every_divided_word(datum, word, t, 3))
+            verdicts.append(out.passed)
+    assert all(verdicts) != drop
+
+
+@pytest.mark.parametrize("side", ["big", "power"])
+def test_dropped_support_word_fails_kkko(monkeypatch, side):
+    # the l hw minor, or D_t^l, loses its first support word: KKKO fails
+    # there, with the word's rank among all words of the weight as its count
+    dropped = []
+
+    def drop_first(out):
+        dropped.append(min(out.values))
+        del out.values[dropped[-1]]
+        return out
+
+    if side == "big":
+        minor = uqn.quantum_minor
+        fundamentals = [A2.fundamental(i) for i in range(A2.n)]
+        monkeypatch.setattr(uqn, "quantum_minor", lambda datum, hw, prefix, cache=None: (
+            minor(datum, hw, prefix, cache) if hw in fundamentals
+            else drop_first(minor(datum, hw, prefix, cache))))
+    else:
+        power = uqn.Functional.__pow__
+        monkeypatch.setattr(uqn.Functional, "__pow__", lambda f, n: drop_first(power(f, n)))
+    for t in range(3):
+        out = check_minor_power(A2, (0, 1, 0), t, 3)
+        assert not out.passed
+        assert out.witness == dropped[-1]
+        gamma = 3 * chain_minor_weight(A2, (0, 1, 0), t)
+        assert out.checked == words_of_weight(A2, gamma).index(out.witness) + 1
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_product_missing_a_word_fails_commutation(monkeypatch, side):
+    # D_k D_t is formed before D_t D_k; one of the two loses its last
+    # support word, where only the other is then nonzero
+    shuffle = uqn.shuffle_product
+    calls = []
+
+    def dropping(phi, psi):
+        out = shuffle(phi, psi)
+        if len(calls) % 2 == side:
+            del out.values[max(out.values)]
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(uqn, "shuffle_product", dropping)
+    with pytest.raises(NotQCommutingError, match="vanishes on one side only"):
+        commutation_matrix(A2, (0, 1, 0))
+
+
+def test_flipped_shuffle_twist_fails_lambda(monkeypatch):
+    # root_form feeds only the shuffle's twist at run time; negating it
+    # conjugates every product, and the form comes out as -Lambda
+    root_form = CartanData.root_form
+    monkeypatch.setattr(CartanData, "root_form", lambda self, i, j: -root_form(self, i, j))
+    assert commutation_matrix(A2, (0, 1, 0)) == tuple(
+        tuple(-x for x in row) for row in A2_LAMBDA)
+    for doc in [{"cartan": "A2", "word": [1, 2, 1], "checks": ["LAMBDA"]},
+                {"cartan": "B2", "word": [1, 2, 1, 2], "checks": ["LAMBDA"]}]:
+        report = run(Campaign.from_dict(doc))
+        assert [(r["name"], r["verdict"]) for r in report["checks"]] == [
+            ("lambda-oracle", "FAIL")]
 
 
 # -- the integral path against the RatFunc oracle --------------------------
