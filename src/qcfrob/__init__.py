@@ -20,8 +20,7 @@ from .cluster import (ExchangeMatrix, QuantumSeed, btilde_from_word,
 from .uqn import (CheckOutcome, check_frobenius_on_minor, check_minor_power,
                   commutation_matrix, quantum_minor)
 from .frobsplit import (SeedExpander, TheoremSession, fr_star, frp_star,
-                        modp_split, reduce_mod_p, reduction_commutes,
-                        spec_torus)
+                        modp_split, reduction_commutes, spec_torus)
 
 __version__ = "0.1.0"
 
@@ -33,5 +32,5 @@ __all__ = [
     "check_frobenius_on_minor", "check_minor_power", "cluster_monomial",
     "commutation_matrix", "fr_star", "frp_star", "is_reduced", "modp_split",
     "mutate_seed", "qbinom", "qfactorial", "qint", "quantum_minor",
-    "reduce_mod_p", "reduction_commutes", "seed_from_word", "spec_torus",
+    "reduction_commutes", "seed_from_word", "spec_torus",
 ]

@@ -39,18 +39,27 @@ _VECTOR_CAP = 200_000
 # sequences, or sequences times depth when they are enumerated.  A seed is
 # built by at most that many mutations and keeps none of its history.
 _MUTATION_CAP = 100_000
-# Coproduct splits the commutation form is charged: for each pair of minors,
-# the words of their weight times the splits of one word by the weight of
-# either factor.  commutation_matrix multiplies by quantum shuffles of the
-# minors' supports and visits far fewer words, so this is a conservative
-# bound until a cost model in shuffles replaces it; the A3 longest word is
+# The next three caps count what the minor model once visited one word or
+# split at a time.  The checks now work on supports and quantum shuffles and
+# visit far less, so each cap is only a conservative bound, kept until a
+# cost model in shuffles (ROADMAP item 2) replaces it.
+#
+# Coproduct splits, for the commutation form: for each pair of chain
+# minors, the words of their summed weight times the splits of one such word
+# by the weight of either factor.  commutation_matrix compares the two
+# shuffle products on their supports instead; the A3 longest word is
 # charged 14,208 splits.
 _LAMBDA_CAP = 2_000_000
-# Divided words one BASE_CASE check may enumerate.
+# Divided words of weight l * gamma_t, for one BASE_CASE check.  The check
+# evaluates only those that meet the supports of D_t^l and of the stretched
+# D_t, and counts the rest without visiting them.
 _MINOR_CAP = 1_000_000
-# The cost of one KKKO check, in words times l^4: raising a minor to the
-# l-th power makes each word's value about l^4 times as expensive.  At
-# l = 3 this admits the 10^6 words BASE_CASE admits in divided words.
+# Words of weight l * gamma_t times l^4, for one KKKO check, as if each word's
+# value in D_t^l cost l^4.  The check builds D_t^l by shuffles and the minor
+# of l * varpi by a search over its support, which no factor here measures:
+# G2 [1, 2, 1] at l = 5 is charged 15,504 words times 5^4 and admitted, and
+# takes 15-33 s a position, mostly in that search.  At l = 3 this admits
+# the 10^6 words BASE_CASE admits in divided words.
 _KKKO_CAP = 81 * _MINOR_CAP
 # Random samples SPLIT_AXIOMS and REDUCTION may each draw per prime.  On A3 at
 # p = 3 and 5 a sample costs 40-455 us on 2 cores: under a minute at the cap.
@@ -98,6 +107,22 @@ def _check_keys(field: str, obj: dict, listed: str, enumerated: set) -> None:
     if listed in obj and len(obj) > 1:
         raise CampaignError(f"{field}: {listed} and {min(set(obj) - {listed})} "
                             "cannot be given together")
+
+
+def _count_floor_bits(coords, divided: bool) -> int:
+    """k with 2^k at most the number of words of weight coords, or of divided
+    words when divided.  Placed commonest letter first, each later count c
+    goes among s >= 2c places in C(s, c) >= 2^c ways, so there are at least
+    2^(sum - max) words; every word is a divided word, and the compositions
+    of the largest count alone give 2^(max - 1) divided words."""
+    top = max(coords, default=0)
+    rest = sum(coords) - top
+    return max(rest, top - 1) if divided else rest
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or its power-of-two floor past 100 digits."""
+    return str(n) if n < 10 ** 100 else f"at least 2^{n.bit_length() - 1}"
 
 
 def enumerate_mutation_sequences(positions, depth: int):
@@ -299,12 +324,25 @@ class Campaign:
                     f"{_LAMBDA_CAP}; give it as lambda, without the LAMBDA check")
 
         # A minor check costs its words or divided words, times l^4 for
-        # KKKO; a rejection names its costliest position and order.
+        # KKKO; a rejection names its costliest position and order.  A floor
+        # on the count is checked first, so a count too long to compute or
+        # print never is.
         for check, what, count, power, cap in (
                 ("BASE_CASE", "divided words", divided_word_count, 0, _MINOR_CAP),
                 ("KKKO", "words", word_count, 4, _KKKO_CAP)):
             if check not in checks:
                 continue
+            floor = (0, 0, 0)
+            for t, gamma in enumerate(gammas):
+                for l in raw_l:
+                    bits = _count_floor_bits([l * c for c in gamma.coords], check == "BASE_CASE")
+                    if bits > floor[0]:
+                        floor = (bits, t, l)
+            bits, t, l = floor
+            if 1 << bits > cap:
+                raise CampaignError(
+                    f"checks: {check} at position {t + 1}, l = {l} needs at least "
+                    f"2^{bits} {what}, more than {cap}")
             worst = (0, 0, 0, 0)
             for t, gamma in enumerate(gammas):
                 for l in raw_l:
@@ -313,7 +351,7 @@ class Campaign:
                         worst = (n * l ** power, n, t, l)
             cost, n, t, l = worst
             if cost > cap:
-                per_word = f", {n} * l^{power} = {cost}" if power else ""
+                per_word = f", {n} * l^{power} = {_decimal(cost)}" if power else ""
                 raise CampaignError(
                     f"checks: {check} at position {t + 1}, l = {l} needs {n} "
                     f"{what}{per_word}, more than {cap}")

@@ -8,6 +8,8 @@ transforms the pair; everything stays exact over Z[v, v^-1].
 
 from __future__ import annotations
 
+from operator import mul
+
 from .qtorus import LaurentRing, SkewForm, TorusElement, exact_right_divide, normal_product
 from .rootdatum import CartanData, frozen_split, is_reduced, NonReducedWordError
 
@@ -108,8 +110,9 @@ def mutate_pair(btilde: ExchangeMatrix, lam: SkewForm, pos: int):
                 for i, row in enumerate(btilde.rows)]
     ecols = [tuple(int(i == t) for i in range(btilde.nrows)) for t in range(btilde.nrows)]
     ecols[pos] = tuple(-1 if i == pos else max(0, -b) for i, b in enumerate(bcol))
+    images = [lam.image(b) for b in ecols]
     return (ExchangeMatrix(new_rows, btilde.cols),
-            SkewForm([[lam(a, b) for b in ecols] for a in ecols]))
+            SkewForm([[sum(map(mul, a, mb)) for mb in images] for a in ecols]))
 
 
 def btilde_from_word(datum: CartanData, word) -> ExchangeMatrix:
@@ -218,10 +221,11 @@ def mutate_seed(seed: QuantumSeed, pos: int) -> QuantumSeed:
     bplus, bminus = pos_part(bcol), neg_part(bcol)
     ek = tuple(int(i == pos) for i in range(seed.rank))
     ring = seed.variables[pos].ring
+    unit = ring.one()
     lhs = (normal_product(seed.variables, seed.lam, bplus)
-           .scale(ring.v_power(seed.lam(bplus, ek)))
+           .scale(ring.v_shift(unit, seed.lam(bplus, ek)))
            + normal_product(seed.variables, seed.lam, bminus)
-           .scale(ring.v_power(seed.lam(bminus, ek))))
+           .scale(ring.v_shift(unit, seed.lam(bminus, ek))))
     new_var = exact_right_divide(lhs, seed.variables[pos])
     new_btilde, new_lam = mutate_pair(seed.btilde, seed.lam, pos)
     new_vars = list(seed.variables)

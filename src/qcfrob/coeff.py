@@ -3,10 +3,11 @@
 Everything downstream runs over one of three coefficient domains built
 here: Laurent polynomials in v = q^(1/2) with integer coefficients,
 cyclotomic integers Z[x]/Phi_l(x) for odd l, and (elsewhere) prime fields.
-Reduced rational functions in v (RatFunc) are no longer on any runtime
-path; the tests' minor oracle still computes with them.  No floating point,
-no truncation: all operations are exact and all equality checks are
-syntactic on canonical forms.
+Coefficients test zero by truthiness.  Reduced rational functions in v
+(RatFunc) are no longer on any runtime path; the tests' minor oracle and
+the benchmark's coefficient kernels (perfbench/kernels.py) still import
+them.  No floating point, no truncation: all operations are exact and all
+equality checks are syntactic on canonical forms.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ class IntLaurent:
     def from_int(cls, n: int) -> "IntLaurent":
         return cls({0: n})
 
-    @classmethod
-    def v_power(cls, e: int, coeff: int = 1) -> "IntLaurent":
-        return cls({e: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def is_one(self) -> bool:
         return self.terms == {0: 1}
@@ -102,9 +95,6 @@ class IntLaurent:
                 out[e] = out.get(e, 0) + c1 * c2
         return IntLaurent(out)
 
-    def scale(self, n: int) -> "IntLaurent":
-        return IntLaurent({e: n * c for e, c in self.terms.items()})
-
     def min_exp(self) -> int:
         return min(self.terms)
 
@@ -129,9 +119,9 @@ class IntLaurent:
 
     def exact_div(self, other: "IntLaurent") -> "IntLaurent":
         """Exact quotient self / other over Z[v, v^-1]; raises if inexact."""
-        if other.is_zero:
+        if not other:
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero:
+        if not self:
             return IntLaurent.zero()
         lo, dlo = self.min_exp(), other.min_exp()
         num = [self.terms.get(e, 0) for e in range(lo, self.max_exp() + 1)]
@@ -265,20 +255,12 @@ class CycloInt:
         return out
 
     @classmethod
-    def zero(cls, l: int) -> "CycloInt":
-        return cls(l, [])
-
-    @classmethod
     def from_int(cls, l: int, n: int) -> "CycloInt":
         return cls(l, [n])
 
     @classmethod
     def eps_power(cls, l: int, k: int) -> "CycloInt":
         return cls(l, [0] * (k % l) + [1])
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -308,19 +290,9 @@ class CycloInt:
     def __neg__(self) -> "CycloInt":
         return CycloInt._reduced(self.l, tuple(map(neg, self.coeffs)))
 
-    def __mul__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return CycloInt(self.l, out)
-
-    def mul_eps(self, other: "CycloInt", k: int) -> "CycloInt":
-        """self * other * eps^k by one cyclic convolution (x^l = 1 mod Phi_l)."""
+    def mul_eps(self, other: "CycloInt", k: int = 0) -> "CycloInt":
+        """self * other * eps^k by one cyclic convolution (x^l = 1 mod Phi_l);
+        at k = 0 this is the product, so it is also `*`."""
         self._check(other)
         l = self.l
         out = [0] * l
@@ -330,6 +302,8 @@ class CycloInt:
                     if cb:
                         out[j % l] += ca * cb
         return CycloInt._reduced(l, _reduce_mod_phi(l, out))
+
+    __mul__ = mul_eps
 
     def eps_shift(self, k: int) -> "CycloInt":
         """self * eps^k: the length-l cyclic form rotated by k, reduced."""
@@ -341,7 +315,7 @@ class CycloInt:
         return CycloInt._reduced(l, _reduce_mod_phi(l, list(cyclic[-k:] + cyclic[:-k])))
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         for e, c in enumerate(self.coeffs):
@@ -425,9 +399,9 @@ class RatFunc:
     def __init__(self, num: IntLaurent, den: IntLaurent | None = None):
         if den is None:
             den = IntLaurent.one()
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not num:
             self.num = IntLaurent.zero()
             self.den = IntLaurent.one()
             return
@@ -469,11 +443,11 @@ class RatFunc:
 
     @classmethod
     def v_power(cls, e: int) -> "RatFunc":
-        return cls(IntLaurent.v_power(e))
+        return cls(IntLaurent({e: 1}))
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     @property
     def is_one(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from operator import add, mul
 
-from .coeff import CycloInt, Point
+from .coeff import CycloInt, IntLaurent, Point
 from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
 from .rootdatum import is_reduced
 from .uqn import CheckOutcome
@@ -25,18 +25,13 @@ from .uqn import CheckOutcome
 def to_ring(f: TorusElement, ring) -> TorusElement:
     """Map integer-Laurent coefficients into ring, coefficientwise on the
     monomial basis; multiplicative because ring.from_laurent is a ring map
-    sending v^m to the ring's v_power(m)."""
+    sending v^m to the ring's v_shift(one(), m)."""
     return TorusElement(ring, f.form, {a: ring.from_laurent(c) for a, c in f.terms.items()})
 
 
 def spec_torus(f: TorusElement, l: int, point: Point) -> TorusElement:
     """Specialize integer-Laurent coefficients at v = 1 or v = eps."""
     return to_ring(f, CycloRing(l, point))
-
-
-def reduce_mod_p(f: TorusElement, p: int) -> TorusElement:
-    """Send v to 1 and reduce the resulting integer coefficients mod p."""
-    return to_ring(f, PrimeField(p))
 
 
 def _cyclo_ring(f: TorusElement, point: Point) -> CycloRing:
@@ -344,7 +339,7 @@ def random_torus_element(rng, ring, form: SkewForm, *, nterms=3):
         if isinstance(ring, CycloRing):
             c = CycloInt(ring.l, [rng.randint(-4, 4) for _ in range(ring.l - 1)])
         else:
-            c = ring.from_int(rng.randint(-4, 4))
+            c = ring.from_laurent(IntLaurent.from_int(rng.randint(-4, 4)))
         if c:
             out = out + TorusElement.monomial(ring, form, a, c)
     return out

@@ -17,26 +17,19 @@ from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
 
 # -- coefficient ring adapters --------------------------------------------
 #
-# A ring adapter bundles the constants, the image of v, the fused product
-# mul_v(a, b, k) = a b v^k, the unit shift v_shift(c, k) = c v^k, the
-# canonical form of a term dict, the map from Z[v, v^-1] into the ring and
-# unit inverses, so torus code stays generic.
+# A ring adapter has six operations, so torus code stays generic: one(),
+# from_laurent(c), the ring map from Z[v, v^-1] (constants are its images),
+# the fused product mul_v(a, b, k) = a b v^k, the unit shift
+# v_shift(c, k) = c v^k (so v^k itself is v_shift(one(), k)), canon(terms),
+# the canonical form of a term dict, and inv_unit(c), the inverse of a unit,
+# needed only for negative powers of frozen variables.
 # Coefficients test zero by truthiness; only IntLaurent divides exactly.
 
 class LaurentRing:
     """Integer Laurent polynomials in v."""
 
-    def zero(self):
-        return IntLaurent.zero()
-
     def one(self):
         return IntLaurent.one()
-
-    def from_int(self, n):
-        return IntLaurent.from_int(n)
-
-    def v_power(self, e):
-        return IntLaurent.v_power(e)
 
     def mul_v(self, a, b, k):
         return (a * b).shifted(k)
@@ -79,17 +72,8 @@ class CycloRing:
         self.point = point
         self._half = (l + 1) // 2 if point is Point.EPS else 0
 
-    def zero(self):
-        return CycloInt.zero(self.l)
-
     def one(self):
         return CycloInt.from_int(self.l, 1)
-
-    def from_int(self, n):
-        return CycloInt.from_int(self.l, n)
-
-    def v_power(self, e):
-        return CycloInt.eps_power(self.l, e * self._half)
 
     def mul_v(self, a, b, k):
         return a.mul_eps(b, k * self._half)
@@ -132,16 +116,7 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def zero(self):
-        return 0
-
     def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.p
-
-    def v_power(self, e):
         return 1
 
     def mul_v(self, a, b, k):
@@ -196,13 +171,8 @@ class SkewForm:
         return f"SkewForm({self.mat})"
 
     def __call__(self, a, b) -> int:
-        total = 0
-        mat = self.mat
-        for i, ai in enumerate(a):
-            if ai:
-                row = mat[i]
-                total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
-        return total
+        """L(a, b), the dot product of a with image(b)."""
+        return sum(map(mul, a, self.image(b)))
 
     def image(self, b) -> tuple:
         """M b, so that L(a, b) is the dot product of a with it."""
@@ -262,10 +232,6 @@ class TorusElement:
         if len(a) != form.r:
             raise ValueError("exponent vector has wrong length")
         return cls(ring, form, {a: ring.one() if coeff is None else coeff})
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -333,7 +299,8 @@ class TorusElement:
         return TorusElement(self.ring, self.form, {tuple(-x for x in a): inv})
 
     def coeff(self, a):
-        return self.terms.get(tuple(a), self.ring.zero())
+        """The coefficient of x^a; the integer 0 off the support."""
+        return self.terms.get(tuple(a), 0)
 
     def __repr__(self):
         if not self.terms:
@@ -356,7 +323,7 @@ def normal_product(variables, cluster_form: SkewForm, a) -> TorusElement:
         raise ValueError("variable list, form and exponent sizes disagree")
     ring = variables[0].ring
     ambient = variables[0].form
-    out = TorusElement.one(ring, ambient).scale(ring.v_power(cluster_form.twist(a)))
+    out = TorusElement.one(ring, ambient).scale(ring.v_shift(ring.one(), cluster_form.twist(a)))
     for y, e in zip(variables, a):
         if e:
             out = out * (y ** e)
@@ -374,17 +341,17 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
     g._check_peer(f)
     if g.ring != LaurentRing():
         raise ValueError("exact division needs Z[v, v^-1] coefficients")
-    if f.is_zero:
+    if not f:
         raise ZeroDivisionError("right division by zero")
     ring, form = g.ring, g.form
-    if g.is_zero:
+    if not g:
         return TorusElement.zero(ring, form)
     r = form.r
     g_sup, f_sup = list(g.terms), list(f.terms)
     lo = tuple(min(a[i] for a in g_sup) - min(b[i] for b in f_sup) for i in range(r))
     hi = tuple(max(a[i] for a in g_sup) - max(b[i] for b in f_sup) for i in range(r))
     lm_f = max(f.terms)
-    lc_f = f.terms[lm_f]
+    lc_f, m_lm = f.terms[lm_f], form.image(lm_f)
     f_terms = [(b, cb, form.image(b)) for b, cb in f.terms.items()]
     rem = dict(g.terms)
     quot: dict = {}
@@ -394,14 +361,14 @@ def exact_right_divide(g: TorusElement, f: TorusElement) -> TorusElement:
         if any(not lo[i] <= t[i] <= hi[i] for i in range(r)):
             raise ExactDivisionError(f"required exponent {t} escapes the quotient box")
         try:
-            c = rem[lm_r].exact_div(lc_f.shifted(form(t, lm_f)))
+            c = rem[lm_r].exact_div(lc_f.shifted(sum(map(mul, t, m_lm))))
         except ExactDivisionError as exc:
             raise ExactDivisionError(f"coefficient not divisible: {exc}") from exc
         quot[t] = c
         for b, cb, mb in f_terms:
             key = tuple(map(add, t, b))
             delta = ring.mul_v(c, cb, sum(map(mul, t, mb)))
-            cur = rem.get(key, ring.zero()) - delta
+            cur = rem[key] - delta if key in rem else -delta
             if not cur:
                 rem.pop(key, None)
             else:

@@ -51,10 +51,6 @@ class RootVector(_Coords):
     def is_positive(self) -> bool:
         return any(self.coords) and all(a >= 0 for a in self.coords)
 
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
 
 class CartanData:
     """A symmetrizable generalized Cartan matrix with its minimal symmetrizer.
@@ -160,11 +156,6 @@ class CartanData:
                 raise ValueError(f"{lam} is not in the root lattice")
             out.append(int(c))
         return RootVector(tuple(out))
-
-    def root_to_weight(self, rv: RootVector) -> Weight:
-        coords = tuple(sum(self.matrix[j][i] * rv.coords[i] for i in range(self.n))
-                       for j in range(self.n))
-        return Weight(coords)
 
     # -- reflections ------------------------------------------------------
 

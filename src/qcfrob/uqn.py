@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
 from .rootdatum import CartanData, RootVector, Weight
@@ -44,10 +44,13 @@ class NotQCommutingError(ValueError):
 
 
 def word_count(gamma: RootVector) -> int:
-    """Number of words of weight gamma, without enumerating them."""
-    out = factorial(sum(gamma.coords))
-    for c in gamma.coords:
-        out //= factorial(c)
+    """Number of words of weight gamma, without enumerating them: the
+    multinomial coefficient, as binomials placing the rarer letters among
+    the commonest, so it stays cheap when one count is huge."""
+    out, total = 1, 0
+    for c in sorted(gamma.coords, reverse=True):
+        total += c
+        out *= comb(total, c)
     return out
 
 
@@ -327,7 +330,7 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
             m = None
             for w in sorted(left.values.keys() | right.values.keys()):
                 a, b = left(w), right(w)
-                if a.is_zero != b.is_zero:
+                if bool(a) != bool(b):
                     raise NotQCommutingError(
                         f"minors {t}, {k}: value vanishes on one side only at {w}")
                 expo = a.min_exp() - b.min_exp()

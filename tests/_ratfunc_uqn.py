@@ -27,7 +27,7 @@ class FreeElt:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
+        self.terms = {w: c for w, c in terms.items() if c}
 
 
 def coproduct(datum, x: FreeElt) -> dict:
@@ -37,7 +37,7 @@ def coproduct(datum, x: FreeElt) -> dict:
         for lw, rw, expo in word_splits(datum, w):
             key = (lw, rw)
             out[key] = out.get(key, RatFunc.zero()) + c * RatFunc.v_power(expo)
-    return {k: v for k, v in out.items() if not v.is_zero}
+    return {k: v for k, v in out.items() if v}
 
 
 def tensor_mul(datum, a: dict, b: dict) -> dict:
@@ -51,7 +51,7 @@ def tensor_mul(datum, a: dict, b: dict) -> dict:
                     expo -= 2 * datum.root_form(s, k)
             key = (x1 + y1, x2 + y2)
             out[key] = out.get(key, RatFunc.zero()) + ca * cb * RatFunc.v_power(expo)
-    return {k: v for k, v in out.items() if not v.is_zero}
+    return {k: v for k, v in out.items() if v}
 
 
 def e_on_fword(datum, hw, i: int, fword) -> dict:
@@ -64,13 +64,13 @@ def e_on_fword(datum, hw, i: int, fword) -> dict:
     for p in range(len(fword) - 1, -1, -1):
         if fword[p] == i:
             c = qint(mu.coords[i], datum.sym[i])
-            if not c.is_zero:
+            if c:
                 rest = fword[:p] + fword[p + 1:]
                 cur = out.get(rest)
                 coeff = RatFunc.from_laurent(c)
                 out[rest] = coeff if cur is None else cur + coeff
         mu = mu - datum.alpha(fword[p])
-    out = {w: c for w, c in out.items() if not c.is_zero}
+    out = {w: c for w, c in out.items() if c}
     _EACT_CACHE[key] = out
     return out
 
@@ -80,7 +80,7 @@ def e_act(datum, hw, i: int, vec: dict) -> dict:
     for fword, c in vec.items():
         for rest, step in e_on_fword(datum, hw, i, fword).items():
             out[rest] = out.get(rest, RatFunc.zero()) + c * step
-    return {w: c for w, c in out.items() if not c.is_zero}
+    return {w: c for w, c in out.items() if c}
 
 
 def word_act(datum, hw, word, vec: dict) -> dict:
@@ -103,7 +103,7 @@ def pair_fwords(datum, hw, u, w) -> RatFunc:
     total = RatFunc.zero()
     for w2, c in e_on_fword(datum, hw, j, w).items():
         sub = pair_fwords(datum, hw, rest, w2)
-        if not sub.is_zero:
+        if sub:
             total = total + c * sub
     return total
 
@@ -113,7 +113,7 @@ def pair_vectors(datum, hw, u: dict, w: dict) -> RatFunc:
     for fu, cu in u.items():
         for fw, cw in w.items():
             val = pair_fwords(datum, hw, fu, fw)
-            if not val.is_zero:
+            if val:
                 total = total + cu * cw * val
     return total
 
@@ -125,14 +125,14 @@ def weight_space_rank(datum, hw, depth: RootVector) -> int:
     # Gaussian elimination over the fraction field
     rank = 0
     for col in range(len(basis)):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][col].inv()
         rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero:
+            if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
@@ -188,13 +188,13 @@ class Functional:
         total = RatFunc.zero()
         for w, c in x.terms.items():
             val = self(w)
-            if not val.is_zero:
+            if val:
                 total = total + c * val
         return total
 
     def __mul__(self, other: "Functional") -> "Functional":
         """Product in the graded dual, through every split of the coproduct."""
-        lheight = self.gamma.height
+        lheight = sum(self.gamma.coords)
 
         def fn(word):
             total = RatFunc.zero()
@@ -202,10 +202,10 @@ class Functional:
                 if len(lw) != lheight:
                     continue
                 a = self(lw)
-                if a.is_zero:
+                if not a:
                     continue
                 b = other(rw)
-                if not b.is_zero:
+                if b:
                     total = total + a * b * RatFunc.v_power(expo)
             return total
 

@@ -20,11 +20,12 @@ from qcfrob.qtorus import CycloRing, LaurentRing, SkewForm, TorusElement
 from qcfrob.uqn import CheckOutcome
 
 # --format json --deterministic reports, kept byte for byte so a refactor
-# that changes any report fails here: two sample campaigns and the configs
-# of test_main_jobs_matches_serial, test_main_singular_cartan and
-# test_revisited_seeds_golden.
+# that changes any report fails here: the four sample campaigns and the
+# configs of test_main_jobs_matches_serial, test_main_singular_cartan and
+# test_revisited_seeds_golden (golden_configs names each one's config).
 # Regenerate them only with a change meant to alter reports.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+CAMPAIGNS = pathlib.Path(__file__).parent.parent / "campaigns"
 
 
 def a2_doc(**overrides):
@@ -44,6 +45,8 @@ def a2_doc(**overrides):
 # does not exist; a config must then give the form itself
 AFFINE = {"matrix": [[2, -2], [-2, 2]], "sym": [1, 1]}
 AFFINE_LAMBDA = [[0, -2, -2], [2, 0, 0], [2, 0, 0]]
+# a form that does not fit A2 [1, 2, 1]; every seed built on it fails
+WRONG_LAMBDA = [[0, 5, 0], [-5, 0, 0], [0, 0, 0]]
 
 # A4, which has no preset, and its longest word
 A4 = {"matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
@@ -167,6 +170,9 @@ def test_campaign_defaults_and_word_conversion():
      "trials: 100001 is more than 100000"),
     (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], checks=["SPLIT_AXIOMS"],
             trials=12_345_679), "trials: 12345679 is more than 100000"),
+    # a cost past 100 digits is given by its power-of-two floor
+    ({"cartan": "A1", "word": [1], "l_values": [10 ** 1100 + 1], "checks": ["KKKO"]},
+     r"needs 1 words, 1 \* l\^4 = at least 2\^14616, more than 81000000"),
 ])
 def test_campaign_rejects(doc, fragment):
     with pytest.raises(CampaignError, match=fragment):
@@ -329,9 +335,7 @@ def test_main_singular_cartan(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
     # with one, the torus checks run, and their report is the one generated
     # before singular matrices were rejected
-    doc = a2_doc(cartan=AFFINE, checks=["THEOREM", "SPLIT_AXIOMS", "REDUCTION"],
-                 trials=5, **{"lambda": AFFINE_LAMBDA})
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, golden_configs()["affine-a1-theorem.json"])
     assert main(["--config", path, "--format", "json", "--deterministic"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "affine-a1-theorem.json").read_text()
 
@@ -360,12 +364,8 @@ def test_main_deterministic_byte_identical(tmp_path, capsys):
 def test_main_jobs_matches_serial(tmp_path, capsys):
     # every check kind through the pool, and a wrong form whose engine
     # error stands in for every prebuilt seed
-    wrong = [[0, 5, 0], [-5, 0, 0], [0, 0, 0]]
-    docs = [(a2_doc(checks=list(KNOWN_CHECKS), trials=5), 0, "a2-all-checks.json"),
-            (a2_doc(checks=list(KNOWN_CHECKS), trials=5, **{"lambda": wrong}), 1,
-             "a2-wrong-lambda.json")]
-    for doc, status, golden in docs:
-        path = write_config(tmp_path, doc)
+    for golden, status in (("a2-all-checks.json", 0), ("a2-wrong-lambda.json", 1)):
+        path = write_config(tmp_path, golden_configs()[golden])
         assert main(["--config", path, "--format", "json", "--deterministic"]) == status
         serial = capsys.readouterr().out
         assert serial == (GOLDEN / golden).read_text()
@@ -426,9 +426,6 @@ def test_one_theorem_batch_per_distinct_seed(monkeypatch, doc, batches):
         assert {**rec, "millis": 0} == cli._record("theorem", rec["params"], outcome, 0)
 
 
-CAMPAIGNS = pathlib.Path(__file__).parent.parent / "campaigns"
-
-
 def test_composite_order_campaign(capsys):
     # the one sample campaign whose eps ring reduces mod a composite Phi_l
     path = CAMPAIGNS / "a3-order9.json"
@@ -445,6 +442,33 @@ def test_a2_full_campaign(capsys):
     path = CAMPAIGNS / "a2-full.json"
     assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "a2-full.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["a3-theorem", "b2-all"])
+def test_sample_campaign_golden(capsys, name):
+    # b2-all is the one sample campaign that runs the B2 minor checks
+    path = CAMPAIGNS / f"{name}.json"
+    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def golden_configs() -> dict:
+    """The config behind each golden report, by the report's file name."""
+    configs = {
+        "a2-all-checks.json": a2_doc(checks=list(KNOWN_CHECKS), trials=5),
+        "a2-wrong-lambda.json": a2_doc(checks=list(KNOWN_CHECKS), trials=5,
+                                       **{"lambda": WRONG_LAMBDA}),
+        "a3-revisits.json": REVISITS,
+        "affine-a1-theorem.json": a2_doc(cartan=AFFINE, trials=5, **{"lambda": AFFINE_LAMBDA},
+                                         checks=["THEOREM", "SPLIT_AXIOMS", "REDUCTION"]),
+    }
+    for path in sorted(CAMPAIGNS.glob("*.json")):
+        configs[path.name] = json.loads(path.read_text())
+    return configs
+
+
+def test_every_golden_report_has_a_config():
+    assert sorted(golden_configs()) == sorted(p.name for p in GOLDEN.glob("*.json"))
 
 
 class RecordingPool:
@@ -578,8 +602,14 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
       "checks": ["SPLIT_AXIOMS"]}, "SPLIT_AXIOMS at p = 101 needs 200 trials"),
     ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
       "checks": ["REDUCTION"], "trials": 100_000_000}, "trials: 100000000 is more than"),
+    # counts past 4,300 digits, and a divided-word count that took a minute
+    ({"cartan": "A2", "word": [1, 2, 1], "l_values": [20001], "checks": ["KKKO"]},
+     "KKKO at position 2, l = 20001 needs at least 2^20001 words"),
+    ({"cartan": "A2", "word": [1, 2, 1], "l_values": [601], "checks": ["BASE_CASE"]},
+     "BASE_CASE at position 2, l = 601 needs at least 2^601 divided words"),
 ], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0",
-        "lambda-g2-21212", "split-a3-p101", "reduction-trials-1e8"])
+        "lambda-g2-21212", "split-a3-p101", "reduction-trials-1e8", "kkko-a2-l20001",
+        "base-case-a2-l601"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()

@@ -21,7 +21,6 @@ from qcfrob.frobsplit import (
     frp_star,
     modp_split,
     random_torus_element,
-    reduce_mod_p,
     reduction_commutes,
     require_valid_order,
     spec_torus,
@@ -64,7 +63,7 @@ def test_spec_torus_constants_and_eps_powers():
     for point in (Point.ONE, Point.EPS):
         assert spec_torus(one, 3, point) == TorusElement.one(CycloRing(3, point), form)
     # v x^(1,1) at eps, l=3: v goes to eps^2
-    f = TorusElement.monomial(LR, form, (1, 1), IntLaurent.v_power(1))
+    f = TorusElement.monomial(LR, form, (1, 1), IntLaurent({1: 1}))
     got = spec_torus(f, 3, Point.EPS)
     assert got.coeff((1, 1)) == CycloInt.eps_power(3, 2)
 
@@ -93,9 +92,9 @@ def test_spec_one_of_mutated_variable_matches_commutative_oracle():
 def test_reduce_mod_p():
     form = SkewForm([[0, 1], [-1, 0]])
     f = TorusElement.monomial(LR, form, (1, 0), IntLaurent({0: 3, 2: 2}))
-    g = reduce_mod_p(f, 5)
+    g = to_ring(f, PrimeField(5))
     assert g.coeff((1, 0)) == 0  # 3 + 2 = 5
-    assert reduce_mod_p(f, 3).coeff((1, 0)) == 2
+    assert to_ring(f, PrimeField(3)).coeff((1, 0)) == 2
 
 
 # -- the exponent maps -----------------------------------------------------
@@ -139,7 +138,7 @@ def test_frp_star_kills_nondivisible():
     form = SkewForm([[0, 1], [-1, 0]])
     ring = CycloRing(3, Point.EPS)
     x = TorusElement.monomial(ring, form, (3, 1))
-    assert frp_star(x).is_zero
+    assert not frp_star(x)
     y = TorusElement.monomial(ring, form, (-3, 6))
     assert set(frp_star(y).terms) == {(-1, 2)}
 
@@ -183,9 +182,9 @@ def test_modp_split_monomials():
     ring = PrimeField(3)
     one = TorusElement.one(ring, form)
     assert modp_split(one) == one
-    x = TorusElement.monomial(ring, form, (3, -6), ring.from_int(2))
-    assert modp_split(x) == TorusElement.monomial(ring, form, (1, -2), ring.from_int(2))
-    assert modp_split(TorusElement.monomial(ring, form, (1, 3))).is_zero
+    x = TorusElement.monomial(ring, form, (3, -6), 2)
+    assert modp_split(x) == TorusElement.monomial(ring, form, (1, -2), 2)
+    assert not modp_split(TorusElement.monomial(ring, form, (1, 3)))
 
 
 def test_split_axioms_random():
@@ -205,7 +204,7 @@ def test_split_respects_frozen_divisor():
         g = TorusElement.zero(ring, form)
         for _ in range(4):
             a = tuple(rng.randint(0, 4) for _ in range(3))
-            g = g + TorusElement.monomial(ring, form, a, ring.from_int(rng.randint(0, 2)))
+            g = g + TorusElement.monomial(ring, form, a, rng.randint(0, 2))
         prod = TorusElement.monomial(ring, form, (0, 0, 1)) * g
         for a in modp_split(prod).terms:
             assert a[t] >= 1 and all(x >= 0 for x in a)
@@ -271,17 +270,14 @@ def _check_expander(seed, label):
     for a in vectors:
         exact = cluster_monomial(seed, a)
         for ring, exp in zip(EXPANDER_RINGS, expanders):
-            if isinstance(ring, PrimeField):
-                want = reduce_mod_p(exact, ring.p)
-            else:
-                want = to_ring(exact, ring)
+            want = to_ring(exact, ring)
             got = exp.monomial(a)
             assert got == want, (ring, a)
             assert got.terms == ring.canon(got.terms)
     return expanders
 
 
-@pytest.mark.parametrize("scale", [IntLaurent.v_power(1), IntLaurent.v_power(-2, -1)])
+@pytest.mark.parametrize("scale", [IntLaurent({1: 1}), IntLaurent({-2: -1})])
 def test_expander_with_frozen_variable_scaled_by_v(scale):
     # a frozen variable times a unit other than 1: the frozen suffix then
     # carries a coefficient that is not the ring's one, except at v = 1 for
@@ -312,7 +308,7 @@ def test_monomial_keeps_the_terms_a_divisor_divides(l):
     # term at d = 3 whose frozen part b is not divisible by 3
     seeds = [(cell_seed("A3", A3_WORD), []), (cell_seed("A3", A3_WORD, (0,)), []),
              (cell_seed("B2", B2_WORD, (1,)), [(1, 3, -1, -1), (1, 3, 2, -1)]),
-             (_scaled_frozen_seed(IntLaurent.v_power(-2, -1)), [])]
+             (_scaled_frozen_seed(IntLaurent({-2: -1})), [])]
     empty = proper = 0
     for seed, extra in seeds:
         r, frozen = seed.rank, max(seed.btilde.cols) + 1
@@ -381,7 +377,7 @@ def test_theorem_mutated_cluster():
     # splitting branch lands on zero when l does not divide a
     out = session.check((1, 0, 0))
     assert out.passed
-    assert frp_star(session.at_eps.monomial((1, 0, 0))).is_zero
+    assert not frp_star(session.at_eps.monomial((1, 0, 0)))
     # and on the divided monomial when it does
     out = session.check((3, 3, 0))
     assert out.passed
@@ -392,7 +388,7 @@ def test_theorem_mutated_cluster():
 def test_theorem_check_is_not_vacuous():
     session = TheoremSession(cell_seed("A2", A2_WORD, (0,)), 3)
     pushed = fr_star(session.at_one.monomial((1, 1, 0)))
-    assert not pushed.is_zero
+    assert pushed
     # deliberately compare against the wrong exponent: must differ
     assert pushed != session.at_eps.monomial((3, 3, 3))
 
@@ -526,7 +522,7 @@ DIFFERENTIAL = {
     "G2": (lambda: _depth_one("G2", G2_WORD), (5, 7), 3),
     "A2-composite": (lambda: _seeds_to_depth_two("A2", A2_WORD), (9, 15), 3),
     "frozen-scaled": (lambda: [_scaled_frozen_seed(s) for s in (
-        IntLaurent.v_power(1), IntLaurent.v_power(-2, -1))], (3, 5), 2),
+        IntLaurent({1: 1}), IntLaurent({-2: -1}))], (3, 5), 2),
 }
 
 
@@ -603,7 +599,7 @@ def test_modp_division_explicit_values():
     exp = SeedExpander(cell_seed("A2", A2_WORD), PrimeField(3))
     got = modp_split(exp.monomial((3, 0, 0)))
     assert set(got.terms) == {(1, 0, 0)}
-    assert modp_split(exp.monomial((1, 0, 0))).is_zero
+    assert not modp_split(exp.monomial((1, 0, 0)))
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -156,8 +156,8 @@ def test_minor_products_kill_serre_relations():
             for k in range(m + 1):
                 c = qbinom(m, k, datum.sym[i]) * product((i,) * (m - k) + (j,) + (i,) * k)
                 value = value - c if k % 2 else value + c
-            assert value.is_zero, (datum, word)
-            assert any(not product(w).is_zero
+            assert not value, (datum, word)
+            assert any(product(w)
                        for w in words_of_weight(datum, product.gamma))
 
 
@@ -202,11 +202,11 @@ def test_extremal_vectors():
 def test_minor_values_on_word_basis():
     d0, d1, d2 = cell_minors(A2, (0, 1, 0))
     assert d0((0,)) == ONE
-    assert d0((1,)).is_zero
+    assert not d0((1,))
     assert d1((1, 0)) == ONE
-    assert d1((0, 1)).is_zero
+    assert not d1((0, 1))
     assert d2((0, 1)) == ONE
-    assert d2((1, 0)).is_zero
+    assert not d2((1, 0))
     assert d0.gamma == RootVector((1, 0))
     assert d1.gamma == RootVector((1, 1))
     assert d2.gamma == RootVector((1, 1))
@@ -218,7 +218,7 @@ def test_functional_product_values():
     p10 = d1 * d0
     assert p01((0, 1, 0)) == ONE
     assert p01((1, 0, 0)) == lp(2, -2)
-    assert p01((0, 0, 1)).is_zero
+    assert not p01((0, 0, 1))
     assert p10((0, 1, 0)) == lp(-2)
     assert p10((1, 0, 0)) == lp(0, -4)
     # q-commutation: D0 D1 = q * (D1 D0)
@@ -300,7 +300,7 @@ def test_specialization_example_inside_check():
     cubed = d0 ** 3
     val = cubed((0, 0, 0))
     assert val == lp(0, -4) * lp(0, -4, -8)
-    assert specialize(val, 3, Point.EPS).is_zero
+    assert not specialize(val, 3, Point.EPS)
     # while dividing by [3]! first leaves the unit q^-3
     assert val.exact_div(qint(2, 1) * qint(3, 1)) == lp(-6)
     assert divided_value(cubed, ((0, 3),), {}) == lp(-6)
