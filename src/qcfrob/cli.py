@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -30,7 +31,7 @@ from .qtorus import SkewForm, is_prime
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
                   check_minor_power, commutation_matrix, divided_word_count,
-                  split_count, word_count)
+                  word_count)
 
 KNOWN_CHECKS = ("LAMBDA", "THEOREM", "BASE_CASE", "KKKO", "SPLIT_AXIOMS", "REDUCTION")
 
@@ -39,20 +40,18 @@ _VECTOR_CAP = 200_000
 # sequences, or sequences times depth when they are enumerated.  A seed is
 # built by at most that many mutations and keeps none of its history.
 _MUTATION_CAP = 100_000
-# The next three caps count what the minor model once visited one word or
-# split at a time.  The checks now work on supports and quantum shuffles and
-# visit far less, so each cap is only a conservative bound, kept until a
-# cost model in shuffles (ROADMAP item 2) replaces it.
+# The next three caps charge the minor model as if every support were full.
+# Real supports are usually far smaller; KKKO's charge adds a heuristic l^4.
 #
-# Coproduct splits, for the commutation form: for each pair of chain
-# minors, the words of their summed weight times the splits of one such word
-# by the weight of either factor.  commutation_matrix compares the two
-# shuffle products on their supports instead; the A3 longest word is
-# charged 14,208 splits.
+# Shuffle interleavings, for the commutation form: for each pair of chain
+# minors of weights a and b, both products D_k D_t and D_t D_k, each over
+# every word u of weight a, every word r of weight b and every placement of
+# u among the |a| + |b| positions.  This equals the coproduct splits the
+# per-word model visited, so a rejection still counts "splits"; the A3
+# longest word is charged 14,208.
 _LAMBDA_CAP = 2_000_000
-# Divided words of weight l * gamma_t, for one BASE_CASE check.  The check
-# evaluates only those that meet the supports of D_t^l and of the stretched
-# D_t, and counts the rest without visiting them.
+# Divided words of weight l * gamma_t, for one BASE_CASE check: the divided
+# words over every word of supp D_t^l, were that support full.
 _MINOR_CAP = 1_000_000
 # Words of weight l * gamma_t times l^4, for one KKKO check, as if each word's
 # value in D_t^l cost l^4.  The check builds D_t^l by shuffles and the minor
@@ -67,6 +66,9 @@ _TRIALS_CAP = 100_000
 # The cost of SPLIT_AXIOMS at its largest prime p, in trials times p^4: each
 # trial raises random elements to the p-th power.  200 trials pass up to p = 47.
 _SPLIT_CAP = 10 ** 9
+# The largest order SPLIT_AXIOMS and REDUCTION may be given: each order is
+# tested for primality by trial division, under 10^6 steps below the bound.
+_PRIME_ORDER_CAP = 10 ** 12
 
 # Recorded with every report: why torus-level equality of the exponent maps
 # decides the identity for cluster monomials, including ones with frozen
@@ -165,6 +167,7 @@ class Campaign:
     reduction_prefix: int
     trials: int
     rng_seed: int
+    primes: tuple
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Campaign":
@@ -312,11 +315,9 @@ class Campaign:
                 raise CampaignError(f"cartan: {exc}") from None
             gammas = [chain_minor_weight(datum, word, t) for t in range(len(word))]
 
-        # Charged as if both products of minors t < k were evaluated on every
-        # word of weight gamma_t + gamma_k, each through the word's splits
-        # whose right part has the weight of the right factor.
         if computes_form:
-            n = sum(word_count(a + b) * (split_count(a + b, a) + split_count(a + b, b))
+            n = sum(2 * word_count(a) * word_count(b)
+                    * math.comb(sum(a.coords) + sum(b.coords), sum(a.coords))
                     for a, b in itertools.combinations(gammas, 2))
             if n > _LAMBDA_CAP:
                 raise CampaignError(
@@ -368,15 +369,20 @@ class Campaign:
         rng_seed = doc.get("rng_seed", 0)
         if not _is_int(rng_seed):
             raise CampaignError("rng_seed: must be an integer")
+        tests_primes = bool({"SPLIT_AXIOMS", "REDUCTION"} & set(checks))
+        if tests_primes and max(raw_l, default=0) > _PRIME_ORDER_CAP:
+            raise CampaignError(f"l_values: SPLIT_AXIOMS and REDUCTION take orders "
+                                f"up to {_PRIME_ORDER_CAP}, not {max(raw_l)}")
+        primes = tuple(filter(is_prime, raw_l)) if tests_primes else ()
         if "SPLIT_AXIOMS" in checks:
-            p = max(filter(is_prime, raw_l), default=0)
+            p = max(primes, default=0)
             if trials * p ** 4 > _SPLIT_CAP:
                 raise CampaignError(
                     f"checks: SPLIT_AXIOMS at p = {p} needs {trials} trials * p^4 = "
                     f"{trials * p ** 4}, more than {_SPLIT_CAP}")
 
         return cls(label, datum, word, tuple(raw_l), sequences, vectors,
-                   checks, lam_config, prefix, trials, rng_seed)
+                   checks, lam_config, prefix, trials, rng_seed, primes)
 
 
 # -- check execution -------------------------------------------------------
@@ -527,8 +533,7 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
               if check in checks
               for l in campaign.l_values for t in range(len(word))]
 
-    primes = [l for l in campaign.l_values if is_prime(l)]
-    trials = campaign.trials
+    primes, trials = campaign.primes, campaign.trials
     if "SPLIT_AXIOMS" in checks:
         tasks += [("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
                    (lam, p, random.Random(f"{campaign.rng_seed}:split:{p}"),
@@ -616,8 +621,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the check tasks: one per "
                         "distinct seed and order, prime, and minor check")
-    parser.add_argument("--out", help="write the report here instead of stdout; "
-                        "QCFROB_OUT_DIR prefixes relative paths")
+    parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -625,15 +629,17 @@ def main(argv=None) -> int:
         return 2
     try:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CampaignError(f"config is not valid JSON: {exc}") from None
+            except ValueError as exc:   # past Python's int digit limit, or not text
+                raise CampaignError(f"config could not be read: {exc}") from None
         campaign = Campaign.from_dict(doc)
         # Opened before the run, so a bad path costs no campaign.
         out = contextlib.nullcontext(sys.stdout)
         if args.out:
-            out = open(os.path.join(os.environ.get("QCFROB_OUT_DIR", ""), args.out), "w")
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+            out = open(args.out, "w")
     except (OSError, CampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

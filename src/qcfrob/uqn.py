@@ -24,6 +24,11 @@ divided word is evaluated on its underlying word and divided exactly by
 prod [n]!.  These are the only two divisions, and an inexact one raises
 ExactDivisionError.
 
+Each check compares two sides on the words, or divided words, over their
+supports in lexicographic order, as every other one is zero on both sides,
+and ranks a failure among all those of its weight (word_rank,
+divided_word_rank).
+
 The e-action memo and every support are owned by one top-level call
 (commutation_matrix, check_frobenius_on_minor or check_minor_power) and
 die with it.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
 from .rootdatum import CartanData, RootVector, Weight
@@ -52,13 +57,6 @@ def word_count(gamma: RootVector) -> int:
         total += c
         out *= comb(total, c)
     return out
-
-
-def split_count(gamma: RootVector, right: RootVector) -> int:
-    """Number of splits of one word of weight gamma whose right part has
-    weight right: the positions of each letter i sent right are any right_i
-    of its gamma_i."""
-    return prod(map(comb, gamma.coords, right.coords))
 
 
 # -- twisted coproduct -----------------------------------------------------
@@ -399,42 +397,6 @@ def fr_divided(dword, l: int):
     return tuple(out)
 
 
-def divided_words_meeting(datum: CartanData, gamma: RootVector, prefixes):
-    """The products of divided generator powers e_{i_1}^{(n_1)} ... of
-    total weight gamma whose underlying words can reach `prefixes`, a
-    prefix-closed set of words.
-
-    Entries are (letter, power) pairs with power >= 1; consecutive equal
-    letters are allowed, so e_i^{(1)} e_i^{(1)} and e_i^{(2)} both occur.
-    The divided words are walked as a tree in lexicographic order, and a
-    subtree is cut off where its underlying word prefix is not in
-    `prefixes`: yields each divided word kept, and for each subtree cut
-    the number of divided words in it.
-    """
-    remaining = list(gamma.coords)
-    counts: dict = {}
-
-    def rec(acc, under):
-        if under not in prefixes:
-            key = tuple(remaining)
-            n = counts.get(key)
-            if n is None:
-                n = counts[key] = divided_word_count(RootVector(key))
-            yield n
-        elif not any(remaining):
-            yield tuple(acc)
-        else:
-            for i in range(datum.n):
-                for p in range(1, remaining[i] + 1):
-                    remaining[i] -= p
-                    acc.append((i, p))
-                    yield from rec(acc, under + (i,) * p)
-                    acc.pop()
-                    remaining[i] += p
-
-    yield from rec([], ())
-
-
 def word_rank(n: int, word) -> int:
     """1-based position of a word over letters 0..n-1 in the lexicographic
     order of the words of its weight, without enumerating them."""
@@ -449,6 +411,37 @@ def word_rank(n: int, word) -> int:
                 rank += word_count(RootVector(tuple(counts)))
                 counts[i] += 1
         counts[x] -= 1
+    return rank
+
+
+def divided_words_of(word) -> list:
+    """The divided words over one word, in lexicographic order: each run of
+    a letter is cut into powers anywhere, a run of length r in the 2^(r-1)
+    compositions of r."""
+    def cuts(i, r):
+        if not r:
+            return [()]
+        return [((i, p),) + rest for p in range(1, r + 1) for rest in cuts(i, r - p)]
+
+    runs = [cuts(i, len(list(group))) for i, group in itertools.groupby(word)]
+    return [sum(parts, ()) for parts in itertools.product(*runs)]
+
+
+def divided_word_rank(n: int, dword) -> int:
+    """1-based position of a divided word over letters 0..n-1 in the
+    lexicographic order of (letter, power) pairs among the divided words of
+    its weight, without enumerating them."""
+    counts = [0] * n
+    for i, p in dword:
+        counts[i] += p
+    rank = 1
+    for x, q in dword:
+        for i in range(x + 1):
+            for p in range(1, q if i == x else counts[i] + 1):
+                counts[i] -= p
+                rank += divided_word_count(RootVector(tuple(counts)))
+                counts[i] += p
+        counts[x] -= q
     return rank
 
 
@@ -474,10 +467,11 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     the exponent-divided image of f, specialized at v = 1, must equal the
     value of D_t^l on f specialized at the root of unity.  Divided words
     with some power not divisible by l must be killed on the root-of-unity
-    side.  Both sides vanish on a divided word whose underlying word is
-    neither in supp D_t^l nor an l-fold stretch of a word in supp D_t, so
-    only the others are evaluated; `checked` still counts every divided
-    word up to the first failure, in lexicographic order.
+    side.  Only the divided words over a word of supp D_t^l, and the l-fold
+    stretches of those over a word of supp D_t, can be nonzero on either
+    side; they are compared in lexicographic order, and every other divided
+    word is zero on both.  `checked` is the number of divided words of the
+    weight, or on a failure the rank of the first failing one among them.
     An inexact minor division fails with the minor's word as witness and
     nothing checked.
     """
@@ -487,17 +481,12 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     except ExactDivisionError as exc:
         return _not_specializable(0, exc.witness, exc)
     power = minor ** l
-    reach = set(power.values)
-    reach.update(tuple(i for i in u for _ in range(l)) for u in minor.values)
-    prefixes = {w[:k] for w in reach for k in range(len(w) + 1)}
+    candidates = {d for w in power.values for d in divided_words_of(w)}
+    candidates.update(tuple((i, l * p) for i, p in d)
+                      for u in minor.values for d in divided_words_of(u))
     minor_memo: dict = {}
     power_memo: dict = {}
-    checked = 0
-    for dword in divided_words_meeting(datum, l * minor.gamma, prefixes):
-        if isinstance(dword, int):
-            checked += dword
-            continue
-        checked += 1
+    for dword in sorted(candidates):
         down = fr_divided(dword, l)
         try:
             if down is None:
@@ -506,11 +495,11 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
                 lhs = specialize(divided_value(minor, down, minor_memo), l, Point.ONE)
             rhs = specialize(divided_value(power, dword, power_memo), l, Point.EPS)
         except ExactDivisionError as exc:
-            return _not_specializable(checked, dword, exc)
+            return _not_specializable(divided_word_rank(datum.n, dword), dword, exc)
         if lhs != rhs:
-            return CheckOutcome(False, checked, witness=dword,
+            return CheckOutcome(False, divided_word_rank(datum.n, dword), witness=dword,
                                 note=f"one-side {lhs!r} vs eps-side {rhs!r}")
-    return CheckOutcome(True, checked)
+    return CheckOutcome(True, divided_word_count(power.gamma))
 
 
 def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:

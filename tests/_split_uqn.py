@@ -53,8 +53,8 @@ def words_of_weight(datum, gamma: RootVector):
 
 def divided_words_of_weight(datum, gamma: RootVector):
     """Yield every product of divided generator powers with the given total
-    weight, in lexicographic order: uqn.divided_words_meeting without the
-    cut."""
+    weight, in lexicographic order of (letter, power) pairs: the order
+    uqn.divided_word_rank ranks."""
     remaining = list(gamma.coords)
     if any(c < 0 for c in remaining):
         return

@@ -122,6 +122,7 @@ UNREACHED = {
     "rootdatum.CartanData.__repr__": REPR,
     "uqn.Functional.__repr__": REPR,
     "uqn._not_specializable": FAILURE,
+    "uqn.divided_word_rank": FAILURE,
     "uqn.word_rank": FAILURE,
     "uqn.word_splits": BENCH,
 }

@@ -426,30 +426,32 @@ def test_one_theorem_batch_per_distinct_seed(monkeypatch, doc, batches):
         assert {**rec, "millis": 0} == cli._record("theorem", rec["params"], outcome, 0)
 
 
+def _assert_golden_at_both_jobs(capsys, name):
+    # serially and on a pool of two, against one golden report
+    path = CAMPAIGNS / name
+    for jobs in ("1", "2"):
+        assert main(["--config", str(path), "--format", "json", "--deterministic",
+                     "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(), jobs
+
+
 def test_composite_order_campaign(capsys):
     # the one sample campaign whose eps ring reduces mod a composite Phi_l
-    path = CAMPAIGNS / "a3-order9.json"
-    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / "a3-order9.json").read_text()
-    checks = json.loads(out)["checks"]
+    _assert_golden_at_both_jobs(capsys, "a3-order9.json")
+    checks = json.loads((GOLDEN / "a3-order9.json").read_text())["checks"]
     assert [(c["name"], c["verdict"], c["checked"]) for c in checks] == [
         ("theorem", "PASS", 1458)] * 4
 
 
 def test_a2_full_campaign(capsys):
     # every check kind on A2, at two orders and two mutation steps
-    path = CAMPAIGNS / "a2-full.json"
-    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "a2-full.json").read_text()
+    _assert_golden_at_both_jobs(capsys, "a2-full.json")
 
 
 @pytest.mark.parametrize("name", ["a3-theorem", "b2-all"])
 def test_sample_campaign_golden(capsys, name):
     # b2-all is the one sample campaign that runs the B2 minor checks
-    path = CAMPAIGNS / f"{name}.json"
-    assert main(["--config", str(path), "--format", "json", "--deterministic"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    _assert_golden_at_both_jobs(capsys, f"{name}.json")
 
 
 def golden_configs() -> dict:
@@ -600,6 +602,9 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
      "80128152 splits"),
     ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [101],
       "checks": ["SPLIT_AXIOMS"]}, "SPLIT_AXIOMS at p = 101 needs 200 trials"),
+    # a prime order found by trial division would take hours
+    ({"cartan": "A1", "word": [1], "l_values": [1000000000000000003],
+      "checks": ["SPLIT_AXIOMS"], "trials": 1}, "orders up to 1000000000000,"),
     ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3],
       "checks": ["REDUCTION"], "trials": 100_000_000}, "trials: 100000000 is more than"),
     # counts past 4,300 digits, and a divided-word count that took a minute
@@ -608,14 +613,36 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
     ({"cartan": "A2", "word": [1, 2, 1], "l_values": [601], "checks": ["BASE_CASE"]},
      "BASE_CASE at position 2, l = 601 needs at least 2^601 divided words"),
 ], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0",
-        "lambda-g2-21212", "split-a3-p101", "reduction-trials-1e8", "kkko-a2-l20001",
-        "base-case-a2-l601"])
+        "lambda-g2-21212", "split-a3-p101", "split-a1-order-1e18", "reduction-trials-1e8",
+        "kkko-a2-l20001", "base-case-a2-l601"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
     assert main(["--config", path]) == 2
     assert time.perf_counter() - t0 < 1
     assert fragment in capsys.readouterr().err
+
+
+def test_huge_order_without_prime_checks_runs_at_once(tmp_path, capsys):
+    # no check listed needs the prime orders, so none is looked for
+    doc = {"cartan": "A2", "word": [1, 2, 1], "l_values": [1000000000000000003],
+           "checks": ["LAMBDA"]}
+    t0 = time.perf_counter()
+    assert main(["--config", write_config(tmp_path, doc)]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert "1 checks, 0 failed" in capsys.readouterr().out
+
+
+def test_overlong_integer_in_config_exits_two(tmp_path, capsys):
+    # json.load refuses an integer past Python's digit limit with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "c.json"
+    path.write_text('{"cartan": "A2", "word": [1, 2, 1], "l_values": [%s]}' % ("9" * 5000))
+    t0 = time.perf_counter()
+    assert main(["--config", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config could not be read: ") and "Traceback" not in err
 
 
 def test_minor_check_over_cap_exits_two_at_once(tmp_path, capsys):
@@ -912,16 +939,11 @@ def test_long_listed_sequence_runs():
     assert [(r["verdict"], r["checked"]) for r in records] == [("PASS", 2)]
 
 
-def test_main_out_file_and_env_dir(tmp_path, monkeypatch):
+def test_main_out_file(tmp_path):
     path = write_config(tmp_path, a2_doc(checks=["LAMBDA"]))
     target = tmp_path / "direct.json"
     assert main(["--config", path, "--format", "json", "--out", str(target)]) == 0
     assert json.loads(target.read_text())["meta"]["type"] == "A2"
-    outdir = tmp_path / "outs"
-    outdir.mkdir()
-    monkeypatch.setenv("QCFROB_OUT_DIR", str(outdir))
-    assert main(["--config", path, "--format", "json", "--out", "rel.json"]) == 0
-    assert (outdir / "rel.json").exists()
 
 
 class ClosedPipe:
