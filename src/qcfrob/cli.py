@@ -27,7 +27,7 @@ from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
 from .coeff import ExactDivisionError
 from .frobsplit import (TheoremSession, check_split_axioms, reduction_commutes,
                         require_valid_order)
-from .qtorus import SkewForm, is_prime
+from .qtorus import PrimeField, SkewForm
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
                   check_minor_power, commutation_matrix, divided_word_count,
@@ -167,7 +167,7 @@ class Campaign:
     reduction_prefix: int
     trials: int
     rng_seed: int
-    primes: tuple
+    fields: tuple       # F_p for each prime order, when SPLIT_AXIOMS or REDUCTION runs
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Campaign":
@@ -373,16 +373,21 @@ class Campaign:
         if tests_primes and max(raw_l, default=0) > _PRIME_ORDER_CAP:
             raise CampaignError(f"l_values: SPLIT_AXIOMS and REDUCTION take orders "
                                 f"up to {_PRIME_ORDER_CAP}, not {max(raw_l)}")
-        primes = tuple(filter(is_prime, raw_l)) if tests_primes else ()
+        # each order is tested for primality here, once per run
+        fields = []
+        if tests_primes:
+            for l in raw_l:
+                with contextlib.suppress(ValueError):     # l is not prime
+                    fields.append(PrimeField(l))
         if "SPLIT_AXIOMS" in checks:
-            p = max(primes, default=0)
+            p = max((field.p for field in fields), default=0)
             if trials * p ** 4 > _SPLIT_CAP:
                 raise CampaignError(
                     f"checks: SPLIT_AXIOMS at p = {p} needs {trials} trials * p^4 = "
                     f"{trials * p ** 4}, more than {_SPLIT_CAP}")
 
         return cls(label, datum, word, tuple(raw_l), sequences, vectors,
-                   checks, lam_config, prefix, trials, rng_seed, primes)
+                   checks, lam_config, prefix, trials, rng_seed, tuple(fields))
 
 
 # -- check execution -------------------------------------------------------
@@ -454,21 +459,14 @@ _POWERS_CAP = 1024
 def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     """The theorem at order l for every exponent vector on one seed, or a
     FAIL carrying the engine error that stands in for the seed."""
-    checked = 0
     try:
         if isinstance(seed, Exception):
             raise seed
         if len(_POWERS) > _POWERS_CAP:
             _POWERS.clear()
-        session = TheoremSession(seed, l, _POWERS)
-        for a in vectors:
-            step = session.check(a)
-            checked += step.checked
-            if not step.passed:
-                return CheckOutcome(False, checked, step.witness, step.note)
+        return TheoremSession(seed, l, _POWERS).check_all(vectors)
     except _ENGINE_ERRORS as exc:
         return CheckOutcome(False, 0, note=f"engine error: {exc}")
-    return CheckOutcome(True, checked)
 
 
 def _lambda_oracle(campaign: Campaign, computed: SkewForm) -> CheckOutcome:
@@ -533,20 +531,19 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
               if check in checks
               for l in campaign.l_values for t in range(len(word))]
 
-    primes, trials = campaign.primes, campaign.trials
+    fields, trials = campaign.fields, campaign.trials
     if "SPLIT_AXIOMS" in checks:
-        tasks += [("splitting-axioms", {"p": p, "trials": trials}, check_split_axioms,
-                   (lam, p, random.Random(f"{campaign.rng_seed}:split:{p}"),
-                    trials))
-                  for p in primes]
+        tasks += [("splitting-axioms", {"p": f.p, "trials": trials}, check_split_axioms,
+                   (lam, f, random.Random(f"{campaign.rng_seed}:split:{f.p}"), trials))
+                  for f in fields]
     if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
         block = SkewForm([row[:prefix] for row in lam.mat[:prefix]])
-        tasks += [("splitting-reduction", {"p": p, "prefix": prefix, "samples": trials},
+        tasks += [("splitting-reduction", {"p": f.p, "prefix": prefix, "samples": trials},
                    reduction_commutes,
-                   (datum, word, block, p,
-                    random.Random(f"{campaign.rng_seed}:reduction:{p}"), trials))
-                  for p in primes]
+                   (datum, word, block, f,
+                    random.Random(f"{campaign.rng_seed}:reduction:{f.p}"), trials))
+                  for f in fields]
 
     # Sequences that reach one seed share its theorem batch at each order:
     # only the first task in report order with an equal (seed, l) runs, and

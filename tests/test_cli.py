@@ -9,13 +9,13 @@ import time
 
 import pytest
 
-from qcfrob import cli, frobsplit, uqn
+from qcfrob import cli, frobsplit, qtorus, uqn
 from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
 from qcfrob.cluster import mutate_seed, seed_from_word
 from qcfrob.coeff import CycloInt, ExactDivisionError, qint
-from qcfrob.frobsplit import SeedExpander
+from qcfrob.frobsplit import SeedExpander, TheoremSession
 from qcfrob.qtorus import CycloRing, LaurentRing, SkewForm, TorusElement
 from qcfrob.uqn import CheckOutcome
 
@@ -633,6 +633,25 @@ def test_huge_order_without_prime_checks_runs_at_once(tmp_path, capsys):
     assert "1 checks, 0 failed" in capsys.readouterr().out
 
 
+def test_each_order_tested_for_primality_once(monkeypatch):
+    # validation finds the prime orders; the splitting checks take their
+    # fields from it instead of testing each order again
+    tested = []
+    is_prime = qtorus.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(qtorus, "is_prime", counting)
+    doc = a2_doc(checks=["SPLIT_AXIOMS", "REDUCTION"], l_values=[3, 9, 5], trials=2)
+    records = run(Campaign.from_dict(doc))["checks"]
+    assert [(rec["name"], rec["params"]["p"]) for rec in records] == [
+        ("splitting-axioms", 3), ("splitting-axioms", 5),
+        ("splitting-reduction", 3), ("splitting-reduction", 5)]
+    assert tested == [3, 9, 5]
+
+
 def test_overlong_integer_in_config_exits_two(tmp_path, capsys):
     # json.load refuses an integer past Python's digit limit with a plain
     # ValueError, not a JSONDecodeError
@@ -683,9 +702,11 @@ def test_engine_error_stands_in_for_seed(monkeypatch):
     c = Campaign.from_dict(a2_doc(checks=["THEOREM"],
                                   mutations={"sequences": [[1], [], [1, 1]]}))
     for jobs in (1, 2):
-        notes = [rec.get("note") for rec in run(c, jobs=jobs)["checks"]]
+        records = run(c, jobs=jobs)["checks"]
+        notes = [rec.get("note") for rec in records]
         assert notes == ["engine error: no quotient", None,
                          "engine error: no quotient"] * len(c.l_values)
+        assert [rec["checked"] for rec in records if "note" in rec] == [0, 0] * len(c.l_values)
 
 
 def test_reduction_fail_record(tmp_path, capsys, monkeypatch):
@@ -817,15 +838,16 @@ def _count_torus_calls(monkeypatch) -> dict:
 
 
 # The counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows read
-# on A3 at l = 3 and 5.  The qtorus.mul.* counts are the checker's before
-# monomial expansion ran by unit shifts.  frobsplit.monomial makes 2 calls
-# per vector, x^{la} and the terms of x^a that l divides, and 1 more,
-# x^{a/l}, per vector that l divides: 512 checks, 8 of them on a = 0.
+# on A3 at l = 3 and 5: 8 batches of the 64 vectors of the 0-1 box.  The
+# qtorus.mul.* counts are the checker's before monomial expansion ran by
+# unit shifts.  frobsplit.monomial runs only in check(a), which check_all
+# leaves to a = 0 in each batch (see test_traced_fallback_is_the_zero_vector):
+# x^0 at eps, its terms that l divides, and x^0 at 1, one term each.
 TRACED = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
           "mutations": {"depth": 1}, "exponents": {"max_entry": 1},
           "checks": ["THEOREM"]}
 TRACED_COUNTS = {
-    "frobsplit.monomial.calls": 1032, "frobsplit.monomial.terms_out": 720,
+    "frobsplit.monomial.calls": 24, "frobsplit.monomial.terms_out": 24,
     "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
     "qtorus.mul.laurent.terms_out": 20,
     "qtorus.mul.one.calls": 226, "qtorus.mul.one.term_pairs": 266,
@@ -839,6 +861,25 @@ def test_traced_torus_counts_pinned(monkeypatch):
     counts = _count_torus_calls(monkeypatch)
     assert {rec["verdict"] for rec in run(Campaign.from_dict(TRACED))["checks"]} == {"PASS"}
     assert counts == TRACED_COUNTS
+
+
+def test_traced_fallback_is_the_zero_vector(monkeypatch):
+    # check_all takes a vector through check(a) only when its splitting has
+    # something to compare or its expansions do not line up; on TRACED that
+    # is a = 0 alone, the one vector l divides, so a change that sends
+    # every vector down the slow path shows here
+    fallbacks = []
+    check = TheoremSession.check
+
+    def counting(session, a):
+        fallbacks.append(tuple(a))
+        return check(session, a)
+
+    monkeypatch.setattr(TheoremSession, "check", counting)
+    records = run(Campaign.from_dict(TRACED))["checks"]
+    assert {rec["verdict"] for rec in records} == {"PASS"}
+    assert sum(rec["checked"] for rec in records) == 8 * 64 * 2
+    assert fallbacks == [(0,) * 6] * 8
 
 
 def test_benchmark_traced_counts_match_pinned(tmp_path):

@@ -190,7 +190,7 @@ def test_modp_split_monomials():
 def test_split_axioms_random():
     rng = random.Random(25)
     for p in (3, 5):
-        out = check_split_axioms(rand_skew(rng, 3), p, rng, trials=40)
+        out = check_split_axioms(rand_skew(rng, 3), PrimeField(p), rng, trials=40)
         assert out.passed, out.witness
 
 
@@ -214,7 +214,7 @@ def test_reduction_commutes_on_a3_prefix():
     rng = random.Random(27)
     datum = cartan_preset("A3")
     form = rand_skew(rng, 3)
-    out = reduction_commutes(datum, A3_WORD, form, 3, rng, 25)
+    out = reduction_commutes(datum, A3_WORD, form, PrimeField(3), rng, 25)
     assert out.passed and out.checked == 25
 
 
@@ -222,11 +222,12 @@ def test_reduction_commutes_validates_input():
     datum = cartan_preset("A3")
     rng = random.Random(0)
     with pytest.raises(ValueError, match="not reduced"):
-        reduction_commutes(datum, (0, 0, 1), SkewForm([[0]]), 3, rng, 1)
+        reduction_commutes(datum, (0, 0, 1), SkewForm([[0]]), PrimeField(3), rng, 1)
     with pytest.raises(ValueError, match="out of range"):
-        reduction_commutes(datum, A3_WORD, SkewForm([]), 3, rng, 1)
+        reduction_commutes(datum, A3_WORD, SkewForm([]), PrimeField(3), rng, 1)
     with pytest.raises(ValueError, match="out of range"):
-        reduction_commutes(datum, A3_WORD, SkewForm([[0] * 7] * 7), 3, rng, 1)
+        reduction_commutes(datum, A3_WORD, SkewForm([[0] * 7] * 7), PrimeField(3),
+                           rng, 1)
 
 
 def test_embed_padded_guards():
@@ -584,6 +585,178 @@ def test_check_matches_whole_expansions_with_a_broken_primitive(name, monkeypatc
     assert must_fail or before != after
     failed = _compare_with_whole_expansions(seeds, (3, 5), 1)
     assert failed or not must_fail
+    rng = random.Random(f"check-all:{name}")
+    assert bool(_compare_batches(seeds, (3, 5), _shuffled_box(1, rng))) == bool(failed)
+
+
+def _check_each(session, vectors) -> CheckOutcome:
+    """check(a) on each vector in order, up to the first FAIL: the loop
+    check_all replaces."""
+    checked = 0
+    for a in vectors:
+        step = session.check(a)
+        checked += step.checked
+        if not step.passed:
+            return CheckOutcome(False, checked, step.witness, step.note)
+    return CheckOutcome(True, checked)
+
+
+def _compare_batches(seeds, orders, batches) -> int:
+    """Assert check_all and _check_each give the same outcome on each batch
+    (a function of seed and l), each side on a fresh session; the FAIL
+    count."""
+    failed = 0
+    for seed in seeds:
+        for l in orders:
+            vectors = batches(seed, l)
+            got = TheoremSession(seed, l).check_all(vectors)
+            assert got == _check_each(TheoremSession(seed, l), vectors), (l, vectors)
+            failed += not got.passed
+    return failed
+
+
+def _shuffled_box(max_entry, rng):
+    """The box of _box, a quarter of it repeated, in a random order."""
+    def batch(seed, l):
+        vectors = _box(seed.rank, max_entry, l)
+        vectors += rng.sample(vectors, len(vectors) // 4)
+        rng.shuffle(vectors)
+        return vectors
+    return batch
+
+
+@pytest.mark.parametrize("case", list(DIFFERENTIAL))
+def test_check_all_matches_the_loop(case):
+    # the same outcome as the loop, and on a passing batch only the vectors
+    # l divides go through check(a)
+    seeds, orders, max_entry = DIFFERENTIAL[case]
+    batches = _shuffled_box(max_entry, random.Random(f"check-all:{case}"))
+    for seed in seeds():
+        for l in orders:
+            vectors = batches(seed, l)
+            session, fallbacks = TheoremSession(seed, l), []
+            check = session.check
+            session.check = lambda a: fallbacks.append(a) or check(a)
+            got = session.check_all(vectors)
+            assert got == _check_each(TheoremSession(seed, l), vectors)
+            assert got.passed
+            assert fallbacks == [a for a in vectors if not any(x % l for x in a)]
+
+
+def _fr_star_extra_term(monkeypatch):
+    # -1 is no multiple of l, so the term lands off every pushed support
+    push = frobsplit.fr_star
+
+    def broken(f):
+        out = push(f)
+        if len(out.terms) < 2:
+            return out
+        return out + TorusElement.monomial(out.ring, out.form, (-1,) * out.form.r)
+
+    monkeypatch.setattr(frobsplit, "fr_star", broken)
+
+
+def _suffix_moved_at_one(monkeypatch):
+    # the suffix monomial at v = 1 one step along x_1, off from the one at eps
+    suffix_monomial = SeedExpander._suffix_monomial
+
+    def moved(expander, suffix):
+        b, *rest = suffix_monomial(expander, suffix)
+        if expander.ring.point is Point.ONE and any(suffix):
+            b = (b[0] + 1,) + b[1:]
+        return (b, *rest)
+
+    monkeypatch.setattr(SeedExpander, "_suffix_monomial", moved)
+
+
+def _suffix_negated_at_one(monkeypatch):
+    # the suffix monomial at v = 1 times -1, against the one at eps
+    suffix_monomial = SeedExpander._suffix_monomial
+
+    def negated(expander, suffix):
+        b, c, *rest = suffix_monomial(expander, suffix)
+        if expander.ring.point is Point.ONE and any(suffix):
+            c = -(expander.ring.one() if c is None else c)
+        return (b, c, *rest)
+
+    monkeypatch.setattr(SeedExpander, "_suffix_monomial", negated)
+
+
+def _prefix_twist_plus_one(monkeypatch):
+    # a twist one too large on each nonzero block prefix
+    twist = SkewForm.twist
+    monkeypatch.setattr(SkewForm, "twist", lambda form, a: twist(form, a) + (
+        0 < len(a) < form.r and any(a)))
+
+
+def _suffix_twist_plus_one(monkeypatch):
+    # twist(0 + s) one too large on each nonzero suffix
+    split = SkewForm.suffix_twist
+
+    def plus_one(form, s):
+        twist_s, w = split(form, s)
+        return twist_s + any(s), w
+
+    monkeypatch.setattr(SkewForm, "suffix_twist", plus_one)
+
+
+# breaks that the pushforward comparison sees on some vectors and not others
+PUSHED_BREAKS = {"times-eps": _fr_star_times_eps, "extra-term": _fr_star_extra_term,
+                 "suffix-moved": _suffix_moved_at_one,
+                 "suffix-negated": _suffix_negated_at_one,
+                 "prefix-twist": _prefix_twist_plus_one,
+                 "suffix-twist": _suffix_twist_plus_one}
+
+
+@pytest.mark.parametrize("name", list(PUSHED_BREAKS))
+def test_check_all_stops_at_a_failure_mid_batch(name, monkeypatch):
+    # the batch passes a run of vectors, fails at one, and leaves the rest
+    PUSHED_BREAKS[name](monkeypatch)
+    seed = _depth_one("A3", A3_WORD)[1]
+    vectors = sorted(_box(seed.rank, 2, 3), key=sum)
+    out = TheoremSession(seed, 3).check_all(vectors)
+    assert out == _check_each(TheoremSession(seed, 3), vectors)
+    assert not out.passed and 2 < out.checked < len(vectors)
+    assert out.witness["branch"] == "pushforward"
+
+
+def _term_at_three(expander, prefix, product):
+    """An extra term x^{3 e_1} on each prefix 3 does not divide."""
+    if not any(x % 3 for x in prefix):
+        return product
+    return product + TorusElement.monomial(expander.ring, expander.ambient,
+                                           (3,) + (0,) * (expander.size - 1))
+
+
+def _zero_at_three(expander, prefix, product):
+    """No term on each nonzero prefix of entries 0 and 3."""
+    if any(prefix) and set(prefix) <= {0, 3}:
+        return TorusElement.zero(expander.ring, expander.ambient)
+    return product
+
+
+# a change to the block products at eps that only the splitting sees, and
+# the batch it must fail on at l = 3: a term kept where 3 does not divide a,
+# or no term kept where it does
+SPLIT_ONLY = {"kept-term": (_term_at_three, lambda r: _box(r, 1, 3)),
+              "no-term": (_zero_at_three, lambda r: _box(r, 1, 3)[2 ** r:])}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_ONLY))
+def test_check_all_compares_the_splitting_where_the_loop_does(name, monkeypatch):
+    change, batch = SPLIT_ONLY[name]
+    block_product = SeedExpander._block_product
+
+    def changed(expander, prefix):
+        product, twist = block_product(expander, prefix)
+        if expander.ring.point is Point.EPS:
+            product = change(expander, prefix, product)
+        return product, twist
+
+    monkeypatch.setattr(SeedExpander, "_block_product", changed)
+    seeds = _depth_one("A3", A3_WORD)
+    failed = _compare_batches(seeds, (3,), lambda seed, l: batch(seed.rank))
+    assert failed == len(seeds)
 
 
 def test_modp_division_on_cluster_monomials():
