@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
                       mutate_seed, seed_from_word)
 from .coeff import ExactDivisionError
-from .frobsplit import (TheoremSession, check_split_axioms, reduction_commutes,
-                        require_valid_order)
+from .frobsplit import (ProductTable, TheoremSession, check_split_axioms,
+                        reduction_commutes, require_valid_order)
 from .qtorus import PrimeField, SkewForm
 from .rootdatum import CartanData, cartan_preset, frozen_split, is_reduced
 from .uqn import (CheckOutcome, chain_minor_weight, check_frobenius_on_minor,
@@ -217,11 +217,15 @@ class Campaign:
         raw_l = doc.get("l_values", [])
         if not isinstance(raw_l, list) or not all(_is_int(l) for l in raw_l):
             raise CampaignError("l_values: expected a list of integers")
+        seen = set()
         for l in raw_l:
             try:
                 require_valid_order(datum, l)
             except ValueError as exc:
                 raise CampaignError(f"l_values: {exc}") from None
+            if l in seen:
+                raise CampaignError(f"l_values: order {l} is repeated")
+            seen.add(l)
 
         positions, _ = frozen_split(datum, word)
         mut = doc.get("mutations", {"depth": 0})
@@ -408,13 +412,16 @@ def _record(name, params, outcome, millis):
     return rec
 
 
-def _run_task(task) -> dict:
-    """Run one (name, params, fn, args) check, timed, and return its record;
-    module-level so a process pool can run tasks in parallel."""
-    name, params, fn, args = task
-    t0 = time.perf_counter()
-    outcome = fn(*args)
-    return _record(name, params, outcome, int((time.perf_counter() - t0) * 1000))
+def _run_tasks(tasks) -> list:
+    """Run (name, params, fn, args) checks in order, each timed, and return
+    their records; module-level so a process pool can run groups of tasks
+    in parallel."""
+    records = []
+    for name, params, fn, args in tasks:
+        t0 = time.perf_counter()
+        outcome = fn(*args)
+        records.append(_record(name, params, outcome, int((time.perf_counter() - t0) * 1000)))
+    return records
 
 
 def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
@@ -442,18 +449,23 @@ def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
     return seeds
 
 
-# The SeedExpander power table of this process, shared by every theorem
+# The SeedExpander product table of this process, shared by every theorem
 # batch it runs and empty outside a run: run empties it when it ends, and a
-# pool worker starts from the empty table it forks or imports.  Powers are
-# exact and keyed by the element raised, so no report depends on which
-# process ran which batch.
-_POWERS: dict = {}
-# Entries the table may hold when a batch starts; past it the table is
-# emptied.  On a cell of finite cluster type a few variables recur and the
-# table stays small (theorem-scatter, 94 seeds, ends at 240 entries); on a
-# cell of infinite type each mutation makes new variables, and without the
-# cap every power of every one of them would stay until the run ends.
-_POWERS_CAP = 1024
+# pool worker starts from the empty table it forks or imports.  Products are
+# exact and keyed by their factors, so no report depends on which process
+# ran which batch.
+_PRODUCTS = ProductTable()
+# Terms the table may hold when a batch starts; past it the table is
+# emptied.  Block products range from one term to thousands, so the bound
+# counts terms, not entries.  On a cell of finite cluster type the seeds
+# share their variables and the table levels off: serially, theorem-scatter
+# ends at 26.7k terms (12.6k at l = 3, 14.1k at l = 5, in 2,444 entries)
+# and a3-theorem at 9.1k.  A term took about 320 bytes there (l = 3 and 5,
+# traced with tracemalloc), so the bound is about 16 MB; a coefficient has
+# l - 1 entries, so a term costs more at larger l.  On a cell of infinite
+# type each mutation makes new variables, and without the bound every
+# product of every one of them would stay until the run ends.
+_PRODUCT_TERMS_CAP = 50_000
 
 
 def _theorem_batch(seed, l, vectors) -> CheckOutcome:
@@ -462,9 +474,9 @@ def _theorem_batch(seed, l, vectors) -> CheckOutcome:
     try:
         if isinstance(seed, Exception):
             raise seed
-        if len(_POWERS) > _POWERS_CAP:
-            _POWERS.clear()
-        return TheoremSession(seed, l, _POWERS).check_all(vectors)
+        if _PRODUCTS.terms > _PRODUCT_TERMS_CAP:
+            _PRODUCTS.clear()
+        return TheoremSession(seed, l, _PRODUCTS).check_all(vectors)
     except _ENGINE_ERRORS as exc:
         return CheckOutcome(False, 0, note=f"engine error: {exc}")
 
@@ -554,14 +566,21 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     distinct = [tasks[i] for i in firsts.values()]
     try:
         workers = min(jobs, len(distinct), _usable_cpus())
+        # The theorem batches lead the list.  They go as one contiguous run
+        # per worker, in report order, so each worker's product table serves
+        # neighbouring seeds; every other task goes alone.
+        batches, runs = sum(fn is _theorem_batch for _, _, fn, _ in distinct), max(workers, 1)
+        groups = [distinct[batches * k // runs:batches * (k + 1) // runs] for k in range(runs)]
+        groups = [group for group in groups if group] + [[task] for task in distinct[batches:]]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = dict(zip(firsts.values(), pool.map(_run_task, distinct)))
+                ran = list(pool.map(_run_tasks, groups))
         else:
-            done = dict(zip(firsts.values(), map(_run_task, distinct)))
+            ran = list(map(_run_tasks, groups))
     finally:
-        _POWERS.clear()
+        _PRODUCTS.clear()
+    done = dict(zip(firsts.values(), itertools.chain.from_iterable(ran)))
     records += [done[i] if j == i else
                 {**done[j], "params": _jsonable(tasks[i][1]), "millis": 0}
                 for i, j in enumerate(owners)]

@@ -123,17 +123,39 @@ def reduction_commutes(datum, word, block: SkewForm, field: PrimeField, rng,
 
 # -- expanding cluster monomials over a specialized ring -------------------
 
+class ProductTable(dict):
+    """Products of cluster-variable powers over specialized rings, keyed by
+    their factors, for every SeedExpander given the table.
+
+    A block product y_{t_1}^{e_1} ... y_{t_k}^{e_k} (t_1 < ... < t_k, every
+    e nonzero) is keyed by the ring, the ambient form and the tuple of
+    (terms of y_t, e); a power y^e is the one-factor case, and the empty
+    product is 1.  A frozen-suffix monomial c x^b is kept as (b, c or None
+    when c is the ring's one, M b), keyed by its factors the same way and
+    "monomial".  An entry names the elements multiplied, not a seed: the
+    seeds of a cell share most of their cluster variables, and every seed
+    of a word shares its frozen ones, which never mutate.  terms counts the
+    terms the entries hold, one for a monomial.
+    """
+
+    terms = 0
+
+    def clear(self):
+        super().clear()
+        self.terms = 0
+
+
 class SeedExpander:
     """Cluster-monomial expansions of one seed over a fixed coefficient ring.
 
     Expanding directly over the specialized ring is legitimate because the
     coefficient specialization is a ring map, so it commutes with the
     normal-ordered product defining x^a.  Split a = p + s at the end of the
-    leading block of positions (up to the last exchangeable one).  Products
-    over the block are memoized by p, with twist(p).  Positions past the
-    block are never mutated, so their product is one monomial c x^b, kept
-    by s with M b (M the ambient form) and the two parts of the twist that
-    depend on s: twist(0 + s) and the vector w with
+    leading block of positions (up to the last exchangeable one).  The
+    product over the block is memoized by p, with twist(p).  Positions past
+    the block are never mutated, so their product is one monomial c x^b,
+    kept by s with M b (M the ambient form) and the two parts of the twist
+    that depend on s: twist(0 + s) and the vector w with
     twist(a) = twist(p) + twist(0 + s) + p.w.  monomial(a) is one pass of
     unit shifts over the prefix product:
     c_q x^q -> v_shift(c_q, twist(a) + q.Mb) x^{q+b},
@@ -147,15 +169,14 @@ class SeedExpander:
     sum c_q c x^{q+b} over the block product of its prefix, fr_star runs
     once per prefix on that product, and l b is added per call.
 
-    Powers of single variables go to a table keyed by the ring, the ambient
-    form, the variable's terms and the exponent: a private table by
-    default, or the powers dict passed in.  The key names the element being
-    raised, so one table can serve every expander of every seed, over any
-    ring whose coefficients hash: the same cluster variables recur across
-    the seeds of a cell, and their powers are computed once.
+    The block products and the suffix monomial c x^b (with M b) come from a
+    ProductTable: a private one by default, or the products table passed
+    in, which may serve every expander of every seed over any ring whose
+    coefficients hash.  Only the twist parts, which read the seed's form,
+    are kept per expander.
     """
 
-    def __init__(self, seed, ring, powers: dict | None = None):
+    def __init__(self, seed, ring, products: ProductTable | None = None):
         self.seed = seed
         self.ring = ring
         self.size = len(seed.variables)
@@ -163,44 +184,58 @@ class SeedExpander:
         self.ambient = self.variables[0].form
         cols = seed.btilde.cols
         self._block = (max(cols) + 1) if cols else 0
-        self._pows = {} if powers is None else powers
-        self._keys = [(ring, self.ambient, frozenset(y.terms.items()))
-                      for y in self.variables]
+        self._table = ProductTable() if products is None else products
+        self._keys = [frozenset(y.terms.items()) for y in self.variables]
         self._prefix: dict = {}
         self._suffix: dict = {}
         self._pushed: dict = {}
 
-    def _power(self, t: int, e: int) -> TorusElement:
-        key = (self._keys[t], e)
-        got = self._pows.get(key)
+    def _key(self, factors) -> tuple:
+        return self.ring, self.ambient, tuple([(self._keys[t], e) for t, e in factors])
+
+    def _product(self, factors) -> TorusElement:
+        """The ordered product of y_t^e over factors, (t, e) pairs with e
+        nonzero and t increasing, from the table."""
+        key = self._key(factors)
+        got = self._table.get(key)
         if got is None:
-            got = self._pows[key] = self.variables[t] ** e
+            if not factors:
+                got = TorusElement.one(self.ring, self.ambient)
+            elif len(factors) == 1:
+                (t, e), = factors
+                got = self.variables[t] ** e
+            else:
+                got = self._product(factors[:-1]) * self._product(factors[-1:])
+            self._table[key] = got
+            self._table.terms += len(got.terms)
         return got
 
     def _block_product(self, prefix) -> tuple:
         """(product over the block, twist(prefix))."""
         got = self._prefix.get(prefix)
         if got is None:
-            product = (self._block_product(prefix[:-1])[0]
-                       * self._power(len(prefix) - 1, prefix[-1]) if prefix
-                       else TorusElement.one(self.ring, self.ambient))
-            got = self._prefix[prefix] = (product, self.seed.lam.twist(prefix))
+            factors = tuple([(t, e) for t, e in enumerate(prefix) if e])
+            got = self._prefix[prefix] = (self._product(factors), self.seed.lam.twist(prefix))
         return got
 
     def _suffix_monomial(self, suffix) -> tuple:
         """(b, c or None when c is the ring's one, M b, twist(0 + s), w)."""
         got = self._suffix.get(suffix)
         if got is None:
-            acc = TorusElement.one(self.ring, self.ambient)
-            for t, e in enumerate(suffix, self._block):
-                if e:
-                    acc = acc * self._power(t, e)
-            if len(acc.terms) != 1:
-                raise ValueError("variables past the exchangeable block are not monomials")
-            (b, c), = acc.terms.items()
-            got = self._suffix[suffix] = (b, None if c == self.ring.one() else c,
-                                          self.ambient.image(b),
-                                          *self.seed.lam.suffix_twist(suffix))
+            factors = tuple([(t, e) for t, e in enumerate(suffix, self._block) if e])
+            key = (*self._key(factors), "monomial")
+            mono = self._table.get(key)
+            if mono is None:
+                acc = TorusElement.one(self.ring, self.ambient)
+                for factor in factors:
+                    acc = acc * self._product((factor,))
+                if len(acc.terms) != 1:
+                    raise ValueError("variables past the exchangeable block are not monomials")
+                (b, c), = acc.terms.items()
+                mono = self._table[key] = (b, None if c == self.ring.one() else c,
+                                           self.ambient.image(b))
+                self._table.terms += 1
+            got = self._suffix[suffix] = (*mono, *self.seed.lam.suffix_twist(suffix))
         return got
 
     def monomial(self, a, divisor: int = 1) -> TorusElement:
@@ -293,15 +328,17 @@ class TheoremSession:
     vector whose splitting has something to compare, or whose prefix or
     suffix does not compare equal, goes through check.
 
-    powers, when given, is a SeedExpander power table that both expanders
-    share, and that may outlive the session to serve later seeds."""
+    products, when given, is the ProductTable both expanders share.  It may
+    outlive the session: its block products and suffix monomials serve
+    every later seed with the same factors, at either point and order,
+    while the twists are read from each session's seed."""
 
-    def __init__(self, seed, l: int, powers: dict | None = None):
+    def __init__(self, seed, l: int, products: ProductTable | None = None):
         require_valid_order(seed.datum, l)
         self.seed = seed
         self.l = l
-        self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE), powers)
-        self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS), powers)
+        self.at_one = SeedExpander(seed, CycloRing(l, Point.ONE), products)
+        self.at_eps = SeedExpander(seed, CycloRing(l, Point.EPS), products)
 
     def check(self, a) -> CheckOutcome:
         l = self.l

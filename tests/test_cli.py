@@ -1,5 +1,7 @@
 """Campaign parsing, the batch driver, and report emission."""
 
+import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -15,9 +17,10 @@ from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         mutation_sequence_count, run)
 from qcfrob.cluster import mutate_seed, seed_from_word
 from qcfrob.coeff import CycloInt, ExactDivisionError, qint
-from qcfrob.frobsplit import SeedExpander, TheoremSession
+from qcfrob.frobsplit import ProductTable, SeedExpander, TheoremSession
 from qcfrob.qtorus import CycloRing, LaurentRing, SkewForm, TorusElement
 from qcfrob.uqn import CheckOutcome
+from test_frobsplit import BROKEN, PUSHED_BREAKS
 
 # --format json --deterministic reports, kept byte for byte so a refactor
 # that changes any report fails here: the four sample campaigns and the
@@ -416,7 +419,7 @@ def test_one_theorem_batch_per_distinct_seed(monkeypatch, doc, batches):
     report = run(c)
     assert len(calls) == batches
     assert emit(report, "json", deterministic=True) == pooled
-    monkeypatch.setattr(cli, "_POWERS", {})
+    monkeypatch.setattr(cli, "_PRODUCTS", ProductTable())
     lam = SkewForm(report["meta"]["lambda"])
     for rec in report["checks"]:
         seed = seed_from_word(c.datum, c.word, lam)
@@ -474,10 +477,11 @@ def test_every_golden_report_has_a_config():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and worker
-    initializer, runs in process."""
+    """Stands in for ProcessPoolExecutor: records its size, worker
+    initializer and the items it maps, runs in process."""
     sizes = []
     initializers = []
+    items = []
 
     def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
@@ -490,6 +494,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.items.extend(items)
         return map(fn, items)
 
 
@@ -528,14 +534,54 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
     assert RecordingPool.sizes == [3, 2]
 
 
+@pytest.mark.parametrize("jobs", [2, 3, 5, 16])
+def test_pool_gets_theorem_batches_in_contiguous_runs(monkeypatch, jobs):
+    # the 12 distinct theorem batches of B2 at depth 3 go as one run per
+    # worker, contiguous and in report order, so each worker's product
+    # table serves neighbouring seeds; the 4 mod-p tasks go alone
+    doc = {**B2_DEPTH3, "checks": ["THEOREM", "SPLIT_AXIOMS", "REDUCTION"], "trials": 5}
+    c = Campaign.from_dict(doc)
+    want = emit(run(c), "json", deterministic=True)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "items", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    report = run(c, jobs=jobs)
+    assert emit(report, "json", deterministic=True) == want
+    assert RecordingPool.sizes == [jobs]
+    params = [rec["params"] for rec in report["checks"]]
+    groups = [[params.index(cli._jsonable(task[1])) for task in group]
+              for group in RecordingPool.items]
+    runs, alone = groups[:min(jobs, 12)], groups[min(jobs, 12):]
+    assert {len(group) for group in runs} <= {12 // jobs, -(-12 // jobs)}
+    batches = [i for group in runs for i in group]
+    assert batches == sorted(batches) and len(batches) == 12
+    assert all(report["checks"][i]["name"] == "theorem" for i in batches)
+    assert alone == [[i] for i in range(len(params)) if report["checks"][i]["name"] != "theorem"]
+    assert len(alone) == 4
+
+
+def test_goldens_at_three_jobs(tmp_path, capsys, monkeypatch):
+    # a pool of three workers, whatever the CPU count, splits the theorem
+    # batches three ways and gives every golden report unchanged
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    for name, doc in golden_configs().items():
+        golden = (GOLDEN / name).read_text()
+        status = 1 if '"FAIL"' in golden else 0
+        path = write_config(tmp_path, doc, name)
+        assert main(["--config", path, "--format", "json", "--deterministic",
+                     "--jobs", "3"]) == status, name
+        assert capsys.readouterr().out == golden, name
+
+
 def test_pool_workers_start_with_a_power_table(monkeypatch):
     monkeypatch.setattr(RecordingPool, "initializers", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # a worker starts from the empty table it forks or imports
-    assert cli._POWERS == {}
+    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
     run(Campaign.from_dict(a2_doc(checks=["THEOREM"])), jobs=2)
     assert RecordingPool.initializers == [None]
-    assert cli._POWERS == {}
+    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
 
 
 def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
@@ -544,7 +590,7 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
 
     def recording(seed, l, vectors):
         out = batch(seed, l, vectors)
-        seen.append((cli._POWERS, len(cli._POWERS)))
+        seen.append((cli._PRODUCTS, cli._PRODUCTS.terms))
         return out
 
     monkeypatch.setattr(cli, "_theorem_batch", recording)
@@ -554,9 +600,9 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
     assert len(seen) == 2 * len(c.sequences)
     sizes = [size for _, size in seen]
-    assert all(table is cli._POWERS for table, _ in seen)
+    assert all(table is cli._PRODUCTS for table, _ in seen)
     assert sizes[0] and sizes == sorted(sizes)      # kept from batch to batch
-    assert cli._POWERS == {}
+    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
 
     def failing(seed, l, vectors):
         recording(seed, l, vectors)
@@ -567,24 +613,28 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     with pytest.raises(RuntimeError, match="batch failed"):
         run(c)
     assert seen and seen[0][1]
-    assert cli._POWERS == {}
+    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
 
 
 def test_power_table_emptied_past_its_cap(monkeypatch):
+    # the cap counts the terms the product table holds, checked as a batch
+    # starts
     c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=[3, 5],
                                   mutations={"depth": 2}))
     want = emit(run(c), "json", deterministic=True)
     sizes = []
     session = cli.TheoremSession
 
-    def recording(seed, l, powers):
-        sizes.append(len(powers))
-        return session(seed, l, powers)
+    def recording(seed, l, products):
+        sizes.append(products.terms)
+        assert products.terms == sum(len(v.terms) if isinstance(v, TorusElement) else 1
+                                     for v in products.values())
+        return session(seed, l, products)
 
     monkeypatch.setattr(cli, "TheoremSession", recording)
-    monkeypatch.setattr(cli, "_POWERS_CAP", 12)
+    monkeypatch.setattr(cli, "_PRODUCT_TERMS_CAP", 30)
     assert emit(run(c), "json", deterministic=True) == want
-    assert len(sizes) == 2 * len(c.sequences) and max(sizes) <= 12
+    assert len(sizes) == 2 * len(c.sequences) and max(sizes) <= 30
     # emptied at least once, and refilled after
     assert any(b < a for a, b in zip(sizes, sizes[1:])) and any(sizes[1:])
 
@@ -650,6 +700,20 @@ def test_each_order_tested_for_primality_once(monkeypatch):
         ("splitting-axioms", 3), ("splitting-axioms", 5),
         ("splitting-reduction", 3), ("splitting-reduction", 5)]
     assert tested == [3, 9, 5]
+
+
+def test_repeated_order_exits_two(tmp_path, capsys, monkeypatch):
+    # a repeated order would build its field and run its checks twice; it is
+    # rejected at validation, by name, before any field is built
+    tested = []
+    monkeypatch.setattr(qtorus, "is_prime", lambda n: tested.append(n) or True)
+    for orders, repeated in (([3, 3], 3), ([3, 5, 9, 5], 5)):
+        doc = a2_doc(checks=["THEOREM", "SPLIT_AXIOMS", "REDUCTION"], l_values=orders, trials=2)
+        with pytest.raises(CampaignError, match=f"l_values: order {repeated} is repeated"):
+            Campaign.from_dict(doc)
+        assert main(["--config", write_config(tmp_path, doc), "--format", "json"]) == 2
+        assert capsys.readouterr().err == f"error: l_values: order {repeated} is repeated\n"
+    assert tested == []
 
 
 def test_overlong_integer_in_config_exits_two(tmp_path, capsys):
@@ -758,16 +822,31 @@ def _rewrite_term(f: TorusElement, pick, change) -> TorusElement:
                                          for a, c in f.terms.items()})
 
 
+def _fr_star_top_times_eps(monkeypatch):
+    push = frobsplit.fr_star
+    monkeypatch.setattr(frobsplit, "fr_star", lambda f: _rewrite_term(
+        push(f), max, lambda c, ring: c * CycloInt.eps_power(ring.l, 1)))
+
+
+def _frp_star_lowest_negated(monkeypatch):
+    split = frobsplit.frp_star
+    monkeypatch.setattr(frobsplit, "frp_star", lambda f: _rewrite_term(
+        split(f), min, lambda c, ring: -c))
+
+
+# THEOREM_FAIL's two breaks, by the branch each fails
+THEOREM_FAIL_BREAKS = {"pushforward": _fr_star_top_times_eps,
+                       "splitting": _frp_star_lowest_negated}
+
+
 @pytest.mark.parametrize("branch", ["pushforward", "splitting"])
 def test_theorem_fail_record(tmp_path, capsys, monkeypatch, branch):
     # a pushforward that turns its top coefficient by eps, or a splitting
     # that negates its lowest one; pool workers fork, so they see it.  The
     # records are the ones the checker gave before monomial expansion ran
     # by unit shifts.
+    THEOREM_FAIL_BREAKS[branch](monkeypatch)
     if branch == "pushforward":
-        push = frobsplit.fr_star
-        monkeypatch.setattr(frobsplit, "fr_star", lambda f: _rewrite_term(
-            push(f), max, lambda c, ring: c * CycloInt.eps_power(ring.l, 1)))
         want = [((), "PASS", 16, None)] + [
             (seq, "FAIL", checked, {"monomial": [l * x for x in mono], "left": "e",
                                     "right": "1", "branch": "pushforward",
@@ -778,9 +857,6 @@ def test_theorem_fail_record(tmp_path, capsys, monkeypatch, branch):
                 ((3,), 5, [1, 1, -1, 0, 1, 0], [0, 1, 1, 0, 0, 0])]]
         want.insert(4, want[0])
     else:
-        split = frobsplit.frp_star
-        monkeypatch.setattr(frobsplit, "frp_star", lambda f: _rewrite_term(
-            split(f), min, lambda c, ring: -c))
         fail = {"left": "-1", "right": "1", "branch": "splitting"}
         want = [
             ((), "PASS", 16, None),
@@ -802,6 +878,87 @@ def test_theorem_fail_record(tmp_path, capsys, monkeypatch, branch):
         records = json.loads(capsys.readouterr().out)["checks"]
         assert [(tuple(r["params"]["mutations"]), r["verdict"], r["checked"],
                  r.get("witness")) for r in records] == want
+
+
+def _workload_config(name: str) -> dict:
+    """The benchmark's config of a workload at seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.make_config(name, 1)
+
+
+def _run_batches(doc) -> list:
+    """The (seed, l, vectors) of every theorem batch run takes on doc, in
+    its order; a seed may be the engine error that stands in for it."""
+    if "THEOREM" not in doc.get("checks", KNOWN_CHECKS):
+        return []
+    batches = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_theorem_batch",
+                      lambda *args: batches.append(args) or CheckOutcome(True, 0))
+        run(Campaign.from_dict({**doc, "checks": ["THEOREM"]}))
+    return batches
+
+
+# A3 at l = 3 and 5 over the four seeds of depth 1, on the box of entries up
+# to 2 and 3 times the 0-1 box, by total degree: the batches the breaks of
+# test_frobsplit.py fail mid-batch, or pass on
+BREAKS_DOC = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
+              "mutations": {"depth": 1}, "checks": ["THEOREM"],
+              "exponents": {"vectors": sorted(
+                  [list(v) for v in itertools.product(range(3), repeat=6)]
+                  + [[3 * x for x in v] for v in itertools.product(range(2), repeat=6)],
+                  key=sum)}}
+
+
+WORKLOADS = ("theorem-box", "theorem-scatter", "oracle-a2")
+
+
+# the breaks of test_check_all_stops_at_a_failure_mid_batch and of
+# test_check_matches_whole_expansions_with_a_broken_primitive
+FRAME_BREAKS = {**PUSHED_BREAKS, **{name: breaks for name, (breaks, _) in BROKEN.items()}}
+
+
+def _differential_case(case: str):
+    """The config and the break, or None, of a differential case."""
+    kind, _, name = case.partition(":")
+    if kind == "golden":
+        return golden_configs()[name], None
+    if kind == "workload":
+        return _workload_config(name), None
+    if kind == "theorem-fail":
+        return THEOREM_FAIL, THEOREM_FAIL_BREAKS[name]
+    return BREAKS_DOC, FRAME_BREAKS[name]
+
+
+DIFFERENTIAL_CASES = (
+    [f"golden:{name}" for name in sorted(golden_configs())]
+    + [f"workload:{name}" for name in WORKLOADS]
+    + [f"theorem-fail:{name}" for name in THEOREM_FAIL_BREAKS]
+    + [f"break:{name}" for name in FRAME_BREAKS])
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_shared_product_table_matches_private_tables(case, monkeypatch):
+    # run's batches in run's order, on one product table carried from seed
+    # to seed, against each batch on private tables
+    doc, breaks = _differential_case(case)
+    batches = _run_batches(doc)
+    if breaks is not None:
+        breaks(monkeypatch)
+    shared = ProductTable()
+    for seed, l, vectors in batches:
+        if isinstance(seed, Exception):
+            continue
+        got = TheoremSession(seed, l, shared).check_all(vectors)
+        assert got == TheoremSession(seed, l).check_all(vectors), (l, seed)
+    assert bool(batches) == ("THEOREM" in doc.get("checks", KNOWN_CHECKS))
 
 
 def _count_torus_calls(monkeypatch) -> dict:
@@ -839,8 +996,10 @@ def _count_torus_calls(monkeypatch) -> dict:
 
 # The counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows read
 # on A3 at l = 3 and 5: 8 batches of the 64 vectors of the 0-1 box.  The
-# qtorus.mul.* counts are the checker's before monomial expansion ran by
-# unit shifts.  frobsplit.monomial runs only in check(a), which check_all
+# qtorus.mul.* counts are those of one product table shared by the 8
+# batches: each block product and suffix monomial is built once per run
+# (see test_traced_products_built_once), and zero exponents take no
+# product.  frobsplit.monomial runs only in check(a), which check_all
 # leaves to a = 0 in each batch (see test_traced_fallback_is_the_zero_vector):
 # x^0 at eps, its terms that l divides, and x^0 at 1, one term each.
 TRACED = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
@@ -850,10 +1009,10 @@ TRACED_COUNTS = {
     "frobsplit.monomial.calls": 24, "frobsplit.monomial.terms_out": 24,
     "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
     "qtorus.mul.laurent.terms_out": 20,
-    "qtorus.mul.one.calls": 226, "qtorus.mul.one.term_pairs": 266,
-    "qtorus.mul.one.terms_out": 266,
-    "qtorus.mul.eps.calls": 473, "qtorus.mul.eps.term_pairs": 637,
-    "qtorus.mul.eps.terms_out": 583}
+    "qtorus.mul.one.calls": 68, "qtorus.mul.one.term_pairs": 92,
+    "qtorus.mul.one.terms_out": 92,
+    "qtorus.mul.eps.calls": 181, "qtorus.mul.eps.term_pairs": 313,
+    "qtorus.mul.eps.terms_out": 259}
 
 
 def test_traced_torus_counts_pinned(monkeypatch):
@@ -861,6 +1020,26 @@ def test_traced_torus_counts_pinned(monkeypatch):
     counts = _count_torus_calls(monkeypatch)
     assert {rec["verdict"] for rec in run(Campaign.from_dict(TRACED))["checks"]} == {"PASS"}
     assert counts == TRACED_COUNTS
+
+
+def test_traced_products_built_once(monkeypatch):
+    # the 8 batches share one table, so no block product or suffix monomial
+    # is built twice: a table per batch or per expander builds the products
+    # of the variables the seeds have in common again
+    built = []
+    setitem = ProductTable.__setitem__
+
+    def recording(table, key, value):
+        built.append(key)
+        setitem(table, key, value)
+
+    monkeypatch.setattr(ProductTable, "__setitem__", recording)
+    records = run(Campaign.from_dict(TRACED))["checks"]
+    assert {rec["verdict"] for rec in records} == {"PASS"}
+    monomials = [key for key in built if key[-1] == "monomial"]
+    assert monomials and len(monomials) < len(built)
+    assert len(built) == len(set(built))
+    assert cli._PRODUCTS == {}
 
 
 def test_traced_fallback_is_the_zero_vector(monkeypatch):

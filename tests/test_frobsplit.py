@@ -10,6 +10,7 @@ from qcfrob import frobsplit
 from qcfrob.cluster import QuantumSeed, cluster_monomial, mutate_seed, seed_from_word
 from qcfrob.coeff import CycloInt, IntLaurent, Point
 from qcfrob.frobsplit import (
+    ProductTable,
     SeedExpander,
     TheoremSession,
     _first_difference,
@@ -412,7 +413,7 @@ def _seeds_to_depth_two(preset, word):
 @pytest.mark.parametrize("preset, word", [("A3", A3_WORD), ("B2", B2_WORD)])
 def test_shared_power_table_matches_fresh_sessions(preset, word):
     # one table across every seed and both orders, as one cli process keeps it
-    table = {}
+    table = ProductTable()
     rng = random.Random(f"shared-powers:{preset}")
     vectors = [(0,) * len(word), (1,) * len(word)] + [
         tuple(rng.randrange(3) for _ in word) for _ in range(4)]
@@ -427,27 +428,33 @@ def test_shared_power_table_matches_fresh_sessions(preset, word):
                 for b in (a, tuple(l * x for x in a)):
                     assert shared.at_one.monomial(b) == fresh.at_one.monomial(b)
                     assert shared.at_eps.monomial(b) == fresh.at_eps.monomial(b)
-            private += len(fresh.at_one._pows) + len(fresh.at_eps._pows)
+            private += len(fresh.at_one._table) + len(fresh.at_eps._table)
     # the cluster variables recur from seed to seed, so the table is reused
     assert 0 < len(table) < private / 2
 
 
 def test_shared_power_table_keys_the_element_raised():
-    # over one ring and one form, a variable two seeds have in common
-    # shares an entry; other rings and exponents get their own
+    # over one ring and one form, a product of variables two seeds have in
+    # common shares an entry, with a power as its one-factor case; other
+    # rings and exponents get their own, and zero exponents drop out
     seed = cell_seed("A2", A2_WORD)
-    table = {}
+    table = ProductTable()
     ring = CycloRing(3, Point.EPS)
     first = SeedExpander(seed, ring, table)
     mutated = SeedExpander(cell_seed("A2", A2_WORD, (0,)), ring, table)
     y = first.variables[1]
     assert mutated.variables[1] == y and mutated.variables[0] != first.variables[0]
-    assert first._power(1, 2) == y * y
-    assert mutated._power(1, 2) is first._power(1, 2)
-    assert first._power(1, 3) == y * y * y
+    assert first._product(((1, 2),)) == y * y
+    assert mutated._product(((1, 2),)) is first._product(((1, 2),))
+    assert first._product(((1, 3),)) == y * y * y
+    assert mutated._block_product((0, 2))[0] is first._block_product((0, 2))[0]
+    assert (mutated._block_product((1, 2))[0]
+            == mutated.variables[0] * y * y != first._block_product((1, 2))[0])
     at_one = SeedExpander(seed, CycloRing(3, Point.ONE), table)
-    assert at_one._power(1, 2).ring == CycloRing(3, Point.ONE)
-    assert len(table) == 3
+    assert at_one._product(((1, 2),)).ring == CycloRing(3, Point.ONE)
+    # y^2 and y^3, y_0 and y_0 y^2 for each seed at eps, and y^2 at 1
+    assert len(table) == 7
+    assert table.terms == sum(len(f.terms) for f in table.values())
 
 
 def test_splitting_compared_when_l_divides_a_and_no_term_is_kept(monkeypatch):
