@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cluster import (NotCompatibleError, btilde_from_word, check_compatible,
                       mutate_seed, seed_from_word)
@@ -154,20 +154,12 @@ def mutation_sequence_count(k: int, depth: int) -> int:
     return 1 + k * (depth if r == 1 else (r ** depth - 1) // (r - 1))
 
 
-@dataclass
-class Campaign:
-    label: str
-    datum: CartanData
-    word: tuple
-    l_values: tuple
-    sequences: tuple
-    vectors: tuple
-    checks: tuple
-    lam_config: SkewForm | None
-    reduction_prefix: int
-    trials: int
-    rng_seed: int
-    fields: tuple       # F_p for each prime order, when SPLIT_AXIOMS or REDUCTION runs
+class Campaign(namedtuple("Campaign", "label datum word l_values sequences vectors checks "
+                          "lam_config reduction_prefix trials rng_seed fields")):
+    """A validated config; fields holds F_p for each prime order, when
+    SPLIT_AXIOMS or REDUCTION runs."""
+
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Campaign":

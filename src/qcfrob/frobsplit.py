@@ -377,56 +377,67 @@ class TheoremSession:
         eps^{k(l+1)/2} = 1, so x^{la} at eps is the pushforward of x^a
         when the product of l p at eps has the terms of the pushforward of
         x^{p + 0}, and c' x^{b'} is c x^{l b} for the monomial c x^b of s
-        at 1.  A vector that lines up on both, that l does not divide, and
-        whose expansion at eps keeps no term for the splitting passes with
-        no expansion built.  Every other vector goes through check(a), the
-        only code that builds witnesses."""
-        l, block, size = self.l, self.at_one._block, self.at_one.size
+        at 1.  With q an exponent of the product of p at eps and x^b the
+        monomial of s at eps, the splitting keeps the term of x^a at eps at
+        q + b exactly when l divides q + b, that is when q = -b mod l.  So
+        a vector that lines up on both, that l does not divide (l does not
+        divide both p and s), and whose -b mod l is none of the residues
+        mod l of its prefix's exponents passes with no expansion built.
+        The int conversion, the negativity test, the line-ups, divisibility
+        and residues are worked out once per prefix and once per suffix.
+        Every other vector, or one of the wrong length, goes through
+        check(a), the only code that builds witnesses."""
+        block, size = self.at_one._block, self.at_one.size
         prefixes: dict = {}
         suffixes: dict = {}
         checked = 0
         for a in vectors:
-            a = tuple(map(int, a))
-            if min(a, default=0) < 0:
-                raise ValueError("cluster monomial exponents must be nonnegative")
-            if len(a) != size:
-                raise ValueError("exponent vector has wrong length")
-            prefix, suffix = a[:block], a[block:]
-            if prefix not in prefixes:
-                prefixes[prefix] = self._lined_up_prefix(prefix)
-            if suffix not in suffixes:
-                suffixes[suffix] = self._lined_up_suffix(suffix)
-            exponents, b = prefixes[prefix], suffixes[suffix]
-            if (exponents is not None and b is not None and any(map(l.__rmod__, a))
-                    and all(any(map(l.__rmod__, map(add, q, b))) for q in exponents)):
-                checked += 2
-                continue
+            a = tuple(a)
+            if len(a) == size:
+                prefix, suffix = a[:block], a[block:]
+                p, s = prefixes.get(prefix), suffixes.get(suffix)
+                if p is None or s is None:
+                    ints = tuple(map(int, a))
+                    if min(ints, default=0) < 0:
+                        raise ValueError("cluster monomial exponents must be nonnegative")
+                    if p is None:
+                        p = prefixes[prefix] = self._lined_up_prefix(ints[:block])
+                    if s is None:
+                        s = suffixes[suffix] = self._lined_up_suffix(ints[block:])
+                (p_divides, residues), (s_divides, minus_b) = p, s
+                if residues is not None and minus_b is not None and not (
+                        p_divides and s_divides) and minus_b not in residues:
+                    checked += 2
+                    continue
             step = self.check(a)
             checked += step.checked
             if not step.passed:
                 return CheckOutcome(False, checked, step.witness, step.note)
         return CheckOutcome(True, checked)
 
-    def _lined_up_prefix(self, p) -> list | None:
-        """The exponents of the product of p at eps, where the splitting
-        looks for terms; None unless l divides twist(l p) and the product
-        of l p at eps is the pushforward of x^{p + 0}."""
-        product, twist = self.at_eps._block_product(tuple([self.l * x for x in p]))
+    def _lined_up_prefix(self, p) -> tuple:
+        """(whether l divides p, the residues mod l of the exponents of the
+        product of p at eps), the residues None unless l divides twist(l p)
+        and the product of l p at eps is the pushforward of x^{p + 0}."""
+        l = self.l
+        product, twist = self.at_eps._block_product(tuple([l * x for x in p]))
         pushed = self.at_one.pushforward(p + (0,) * (self.at_one.size - len(p)))
-        if twist % self.l or product.terms != pushed:
-            return None
-        return list(self.at_eps._block_product(p)[0].terms)
+        divides = not any(map(l.__rmod__, p))
+        if twist % l or product.terms != pushed:
+            return divides, None
+        return divides, {tuple([x % l for x in q]) for q in self.at_eps._block_product(p)[0].terms}
 
-    def _lined_up_suffix(self, s) -> tuple | None:
-        """The exponent of the monomial of s at eps; None unless the
-        monomial of l s at eps is c x^{l b} for the monomial c x^b of s at
-        1, and l divides twist(0 + l s)."""
+    def _lined_up_suffix(self, s) -> tuple:
+        """(whether l divides s, -b mod l for the exponent b of the monomial
+        of s at eps), -b None unless the monomial of l s at eps is c x^{l b}
+        for the monomial c x^b of s at 1, and l divides twist(0 + l s)."""
         l = self.l
         b, c, *_ = self.at_one._suffix_monomial(s)
         lb, lc, _, twist, _ = self.at_eps._suffix_monomial(tuple([l * x for x in s]))
+        divides = not any(map(l.__rmod__, s))
         if lb != tuple([l * x for x in b]) or lc != c or twist % l:
-            return None
-        return self.at_eps._suffix_monomial(s)[0]
+            return divides, None
+        return divides, tuple([-x % l for x in self.at_eps._suffix_monomial(s)[0]])
 
 
 def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:

@@ -9,7 +9,6 @@ fractions only where the inverse Cartan matrix demands them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -19,12 +18,27 @@ class NonReducedWordError(ValueError):
     """A word failed the positivity test on its root sequence."""
 
 
-@dataclass(frozen=True)
 class _Coords:
-    """Integer coordinate vector; sums, differences and integer multiples
-    keep the subclass."""
+    """Immutable integer coordinate vector, equal to another of its own type
+    with the same coords; sums, differences and integer multiples keep the
+    subclass."""
 
-    coords: tuple[int, ...]
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(coords={self.coords!r})"
 
     def __add__(self, other):
         return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))

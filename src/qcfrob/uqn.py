@@ -37,7 +37,7 @@ die with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
@@ -447,12 +447,8 @@ def divided_word_rank(n: int, dword) -> int:
 
 # -- specialization checks -------------------------------------------------
 
-@dataclass
-class CheckOutcome:
-    passed: bool
-    checked: int
-    witness: object = None
-    note: str = ""
+# a verdict, the checks counted, and a failure's witness and note
+CheckOutcome = namedtuple("CheckOutcome", "passed checked witness note", defaults=(None, ""))
 
 
 def _not_specializable(checked: int, witness, exc) -> CheckOutcome:

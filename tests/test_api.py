@@ -2,7 +2,9 @@
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import qcfrob
@@ -32,6 +34,14 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls inspect, ast, dis and tokenize into every launch
+    probe = "import sys, qcfrob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 def _load(name):
@@ -120,6 +130,8 @@ UNREACHED = {
     "qtorus.TorusElement.inv_monomial": FROZEN,
     "rootdatum.CartanData.__hash__": CONTRACT,
     "rootdatum.CartanData.__repr__": REPR,
+    "rootdatum._Coords.__repr__": REPR,
+    "rootdatum._Coords.__setattr__": FAILURE,
     "uqn.Functional.__repr__": REPR,
     "uqn._not_specializable": FAILURE,
     "uqn.divided_word_rank": FAILURE,

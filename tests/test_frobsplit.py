@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import types
+from operator import add
 
 import pytest
 import sympy
@@ -764,6 +766,85 @@ def test_check_all_compares_the_splitting_where_the_loop_does(name, monkeypatch)
     seeds = _depth_one("A3", A3_WORD)
     failed = _compare_batches(seeds, (3,), lambda seed, l: batch(seed.rank))
     assert failed == len(seeds)
+
+
+class _Stub:
+    """An expander for check_all's line-ups that ignores its argument except
+    where a suffix is given: its block product at eps and its pushforward
+    have the terms given, so every prefix lines up."""
+
+    def __init__(self, size, terms, suffixes):
+        self._block, self.size, self.terms, self.suffixes = size - 1, size, terms, suffixes
+
+    def _block_product(self, prefix):
+        return types.SimpleNamespace(terms=self.terms), 0
+
+    def pushforward(self, a):
+        return self.terms
+
+    def _suffix_monomial(self, suffix):
+        return self.suffixes[suffix]
+
+
+def _residue_session(l, exponents, b) -> TheoremSession:
+    """A session at l whose block products at eps have the given term
+    exponents and whose suffix (1,) has the monomial x^b at eps, lined up
+    with x^0 at 1; check(a) records a and passes."""
+    r = len(b)
+    terms = dict.fromkeys(exponents, 1)
+    zero = ((0,) * r, None, None, 0, ())
+    session = TheoremSession.__new__(TheoremSession)
+    session.l = l
+    session.at_one = _Stub(r, terms, {(1,): zero})
+    session.at_eps = _Stub(r, terms, {(1,): (b, None, None, 0, ()), (l,): zero})
+    session.fallbacks = []
+    session.check = lambda a: session.fallbacks.append(a) or CheckOutcome(True, 2)
+    return session
+
+
+@pytest.mark.parametrize("l", [3, 5, 9, 15])
+def test_residue_test_matches_the_exponent_loop(l):
+    # check_all passes a vector l does not divide exactly when no term
+    # exponent q of its prefix's product at eps has l | q + b, the loop it
+    # replaced; q and b take negative entries and every residue class
+    rng = random.Random(f"residues:{l}")
+    decisions = set()
+    for _ in range(400):
+        r = rng.randint(1, 4)
+        b = tuple(rng.randrange(-2 * l, 2 * l) for _ in range(r))
+        exponents = {tuple(rng.randrange(-2 * l, 2 * l) for _ in range(r))
+                     for _ in range(rng.randint(0, 6))}
+        if rng.random() < 0.5:
+            # one term at -b mod l, or one coordinate off it
+            q = [l * rng.randint(-2, 2) - x for x in b]
+            q[rng.randrange(r)] += rng.random() < 0.5
+            exponents.add(tuple(q))
+        session = _residue_session(l, exponents, b)
+        a = tuple(rng.randrange(3 * l) for _ in range(r - 1)) + (1,)
+        assert session.check_all([a]) == CheckOutcome(True, 2)
+        passes = all(any(map(l.__rmod__, map(add, q, b))) for q in exponents)
+        assert session.fallbacks == ([] if passes else [a]), (exponents, b)
+        decisions.add(passes)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_check_all_raises_what_check_raises(as_list):
+    # a bad vector after passing ones, some of them with its prefix or suffix
+    seed = _depth_one("A3", A3_WORD)[1]
+    session = TheoremSession(seed, 3)
+    good = [(1, 1, 0, 2, 1, 1), (1, 1, 0, 1, 2, 2), (2, 0, 1, 1, 1, 1)]
+    bad = [(1, 1, 0, 1, 1, -1), (-1, 1, 0, 1, 1, 1), (1, 1, 0, 1, 1),
+           (1, 1, 0, 2, 1, 1, 0), (1, 1, -1, 1, 1), ()]
+    for vector in bad:
+        vectors = [list(v) if as_list else v for v in good + [vector]]
+        assert session.check_all(vectors[:-1]).passed
+        with pytest.raises(ValueError) as single:
+            session.check(vectors[-1])
+        with pytest.raises(ValueError, match=f"^{single.value}$"):
+            session.check_all(vectors)
+        with pytest.raises(ValueError, match=f"^{single.value}$"):
+            TheoremSession(seed, 3).check_all(vectors)
 
 
 def test_modp_division_on_cluster_monomials():

@@ -20,6 +20,18 @@ B2 = cartan_preset("B2")
 G2 = cartan_preset("G2")
 
 
+def test_coords_compare_by_type_and_stay_fixed():
+    w, r = Weight((1, 0)), RootVector((1, 0))
+    assert w == Weight((1, 0)) and w != r and w != (1, 0)
+    assert hash(w) == hash(Weight((1, 0))) == hash(((1, 0),))
+    assert len({w, Weight((1, 0)), r}) == 2
+    assert (w + Weight((0, 2)), 2 * r, r - r) == (Weight((1, 2)), RootVector((2, 0)),
+                                                  RootVector((0, 0)))
+    assert repr(r) == "RootVector(coords=(1, 0))"
+    with pytest.raises(AttributeError):
+        w.coords = (0, 0)
+
+
 def test_preset_validation_catches_bad_input():
     with pytest.raises(ValueError):
         cartan_preset("F4")
