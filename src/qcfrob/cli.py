@@ -266,11 +266,17 @@ class Campaign(namedtuple("Campaign", "label datum word l_values sequences vecto
         if "vectors" in exp:
             if not isinstance(exp["vectors"], list):
                 raise CampaignError("exponents: vectors must be a list")
+            if len(exp["vectors"]) > _VECTOR_CAP:
+                raise CampaignError(f"exponents: more than {_VECTOR_CAP} vectors")
             vectors = []
             for vec in exp["vectors"]:
                 if (not isinstance(vec, list) or len(vec) != len(word)
                         or not all(_is_int(x) and x >= 0 for x in vec)):
                     raise CampaignError(f"exponents: bad vector {vec}")
+                # every listed vector lies in a box the max_entry form accepts
+                if (max(vec) + 1) ** len(word) > _VECTOR_CAP:
+                    raise CampaignError(f"exponents: vector {vec} has an entry past every max_entry "
+                                        f"whose box has at most {_VECTOR_CAP} vectors")
                 vectors.append(tuple(vec))
             vectors = tuple(vectors)
         else:

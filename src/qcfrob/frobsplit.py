@@ -163,12 +163,6 @@ class SeedExpander:
     nonzero coefficients over a domain (Z[v, v^-1], Z[eps] or F_p), so none
     needs canon.
 
-    monomial(a, d) keeps only the terms whose exponents d divides, before
-    any shift.  On an expander at v = 1, pushforward(a) is the term dict of
-    fr_star(monomial(a)): every unit shift there is trivial, so x^a is
-    sum c_q c x^{q+b} over the block product of its prefix, fr_star runs
-    once per prefix on that product, and l b is added per call.
-
     The block products and the suffix monomial c x^b (with M b) come from a
     ProductTable: a private one by default, or the products table passed
     in, which may serve every expander of every seed over any ring whose
@@ -188,7 +182,6 @@ class SeedExpander:
         self._keys = [frozenset(y.terms.items()) for y in self.variables]
         self._prefix: dict = {}
         self._suffix: dict = {}
-        self._pushed: dict = {}
 
     def _key(self, factors) -> tuple:
         return self.ring, self.ambient, tuple([(self._keys[t], e) for t, e in factors])
@@ -238,40 +231,19 @@ class SeedExpander:
             got = self._suffix[suffix] = (*mono, *self.seed.lam.suffix_twist(suffix))
         return got
 
-    def monomial(self, a, divisor: int = 1) -> TorusElement:
-        """Expansion of the normalized cluster monomial x^a at this ring,
-        restricted to the terms whose exponents divisor divides."""
+    def monomial(self, a) -> TorusElement:
+        """Expansion of the normalized cluster monomial x^a at this ring."""
         a = tuple(map(int, a))
         if len(a) != self.size:
             raise ValueError("exponent vector has wrong length")
-        if divisor < 1:
-            raise ValueError("divisor must be a positive integer")
         prefix = a[:self._block]
         product, twist = self._block_product(prefix)
         b, c, mb, twist_s, w = self._suffix_monomial(a[self._block:])
-        terms = product.terms.items()
-        if divisor != 1:
-            terms = [(q, cq) for q, cq in terms
-                     if not any(map(divisor.__rmod__, map(add, q, b)))]
-            if not terms:
-                return TorusElement.zero(self.ring, self.ambient)
         twist += twist_s + sum(map(mul, prefix, w))
         shift = self.ring.v_shift if c is None else lambda cq, k: self.ring.mul_v(cq, c, k)
         return TorusElement.from_canonical(self.ring, self.ambient, {
             tuple(map(add, q, b)): shift(cq, twist + sum(map(mul, q, mb)))
-            for q, cq in terms})
-
-    def pushforward(self, a) -> dict:
-        """The terms of fr_star(monomial(a)), on an expander at v = 1."""
-        prefix = a[:self._block]
-        pushed = self._pushed.get(prefix)
-        if pushed is None:
-            pushed = self._pushed[prefix] = fr_star(self._block_product(prefix)[0]).terms
-        b, c, *_ = self._suffix_monomial(a[self._block:])
-        lb = tuple([self.ring.l * x for x in b])
-        if c is None:
-            return {tuple(map(add, q, lb)): cq for q, cq in pushed.items()}
-        return {tuple(map(add, q, lb)): self.ring.mul_v(cq, c, 0) for q, cq in pushed.items()}
+            for q, cq in product.terms.items()})
 
 
 def _first_difference(left: TorusElement, right: TorusElement) -> dict:
@@ -315,11 +287,9 @@ class TheoremSession:
     splitting takes x^a at eps to x^{a/l} at 1 (zero when l does not
     divide a).
 
-    check(a) checks one vector.  Its pushforward branch compares
-    at_one.pushforward(a), which applies fr_star once per block prefix,
-    with the expansion of x^{la} at eps.  The splitting sees only the terms
-    of x^a at eps whose exponents l divides, so that branch expands only
-    those (monomial(a, l)) before frp_star.
+    check(a) checks one vector by the definition, on whole expansions: its
+    pushforward branch compares fr_star of x^a at 1 with x^{la} at eps, and
+    its splitting branch frp_star of x^a at eps with x^{a/l} at 1, or zero.
 
     check_all(vectors) checks a batch with the same outcome as check on
     each vector in turn.  It compares the two sides of the pushforward once
@@ -346,21 +316,17 @@ class TheoremSession:
         if any(x < 0 for x in a):
             raise ValueError("cluster monomial exponents must be nonnegative")
 
+        pushed = fr_star(self.at_one.monomial(a))
         scaled = self.at_eps.monomial(tuple([l * x for x in a]))
-        pushed = self.at_one.pushforward(a)
-        if pushed != scaled.terms:
-            pushed = TorusElement.from_canonical(scaled.ring, scaled.form, pushed)
+        if pushed != scaled:
             witness = _first_difference(pushed, scaled)
             witness.update(branch="pushforward", exponent=list(a))
             return CheckOutcome(False, 1, witness=witness)
 
-        # frp_star of no terms is zero, the expected split when l does not divide a
-        kept = self.at_eps.monomial(a, l)
-        if kept.terms or all(x % l == 0 for x in a):
-            witness = _split_mismatch(frp_star(kept), self.at_one, a, l)
-            if witness is not None:
-                witness["branch"] = "splitting"
-                return CheckOutcome(False, 2, witness=witness)
+        witness = _split_mismatch(frp_star(self.at_eps.monomial(a)), self.at_one, a, l)
+        if witness is not None:
+            witness["branch"] = "splitting"
+            return CheckOutcome(False, 2, witness=witness)
         return CheckOutcome(True, 2)
 
     def check_all(self, vectors) -> CheckOutcome:
@@ -421,7 +387,7 @@ class TheoremSession:
         and the product of l p at eps is the pushforward of x^{p + 0}."""
         l = self.l
         product, twist = self.at_eps._block_product(tuple([l * x for x in p]))
-        pushed = self.at_one.pushforward(p + (0,) * (self.at_one.size - len(p)))
+        pushed = fr_star(self.at_one._block_product(p)[0]).terms
         divides = not any(map(l.__rmod__, p))
         if twist % l or product.terms != pushed:
             return divides, None
@@ -444,7 +410,7 @@ def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:
     """Mod-p shadow of the theorem: the splitting of the mod-p expansion of
     x^a is the expansion of x^{a/p}, or zero when p does not divide a."""
     a, p = tuple(int(x) for x in a), expander.ring.p
-    witness = _split_mismatch(modp_split(expander.monomial(a, p)), expander, a, p)
+    witness = _split_mismatch(modp_split(expander.monomial(a)), expander, a, p)
     return CheckOutcome(witness is None, 1, witness=witness)
 
 

@@ -36,6 +36,23 @@ def test_runtime_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_every_import_is_used():
+    # a deletion that leaves an import behind shows here; __init__.py
+    # imports to re-export, and __future__ names switch features on
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # dataclasses pulls inspect, ast, dis and tokenize into every launch
     probe = "import sys, qcfrob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

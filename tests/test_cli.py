@@ -662,15 +662,45 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
      "KKKO at position 2, l = 20001 needs at least 2^20001 words"),
     ({"cartan": "A2", "word": [1, 2, 1], "l_values": [601], "checks": ["BASE_CASE"]},
      "BASE_CASE at position 2, l = 601 needs at least 2^601 divided words"),
+    # listed vectors past the largest box, which ran 28.6 s and 35 s
+    ({"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [5],
+      "mutations": {"sequences": [[2, 1]]}, "exponents": {"vectors": [[40, 40, 40, 0, 0, 0]]},
+      "checks": ["THEOREM"]}, "vector [40, 40, 40, 0, 0, 0] has an entry past every max_entry"),
+    ({"cartan": "A2", "word": [1, 2, 1], "l_values": [3], "mutations": {"sequences": [[1]]},
+      "exponents": {"vectors": [[1600, 0, 0]]}, "checks": ["THEOREM"]},
+     "vector [1600, 0, 0] has an entry past every max_entry"),
+    ({"cartan": "A2", "word": [1, 2, 1], "l_values": [3],
+      "exponents": {"vectors": [[0, 0, 0]] * 200_001}, "checks": ["THEOREM"]},
+     "exponents: more than 200000 vectors"),
 ], ids=["kkko-a1-l401", "a3-depth30", "steps-100001", "lambda-g2-w0", "lambda-a4-w0",
         "lambda-g2-21212", "split-a3-p101", "split-a1-order-1e18", "reduction-trials-1e8",
-        "kkko-a2-l20001", "base-case-a2-l601"])
+        "kkko-a2-l20001", "base-case-a2-l601", "vector-a3-40", "vector-a2-1600",
+        "vectors-200001"])
 def test_runaway_config_exits_two_at_once(tmp_path, capsys, doc, fragment):
     path = write_config(tmp_path, doc)
     t0 = time.perf_counter()
     assert main(["--config", path]) == 2
     assert time.perf_counter() - t0 < 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word, top", [([1], 199_999), ([1, 2, 1], 57),
+                                       ([1, 2, 1, 3, 2, 1], 6), (A4_W0, 2)])
+def test_listed_entries_end_where_the_box_ends(word, top):
+    # a listed vector may take an entry exactly when the box of that
+    # max_entry is accepted, the largest m with (m + 1)^len(word) <= 200000
+    def accepted(exponents):
+        doc = {"cartan": A4, "word": word, "checks": [], "exponents": exponents}
+        try:
+            Campaign.from_dict(doc)
+        except CampaignError as exc:
+            assert "more than 200000 vectors" in str(exc) or "past every max_entry" in str(exc)
+            return False
+        return True
+
+    for entry in (top, top + 1):
+        assert accepted({"vectors": [[0] * (len(word) - 1) + [entry]]}) == (entry == top)
+        assert accepted({"max_entry": entry}) == (entry == top)
 
 
 def test_huge_order_without_prime_checks_runs_at_once(tmp_path, capsys):
@@ -983,8 +1013,8 @@ def _count_torus_calls(monkeypatch) -> dict:
         bump(name, "terms_out", len(out.terms))
         return out
 
-    def traced_monomial(self, a, divisor=1):
-        out = monomial(self, a, divisor)
+    def traced_monomial(self, a):
+        out = monomial(self, a)
         bump("frobsplit.monomial", "calls", 1)
         bump("frobsplit.monomial", "terms_out", len(out.terms))
         return out
@@ -1001,12 +1031,13 @@ def _count_torus_calls(monkeypatch) -> dict:
 # (see test_traced_products_built_once), and zero exponents take no
 # product.  frobsplit.monomial runs only in check(a), which check_all
 # leaves to a = 0 in each batch (see test_traced_fallback_is_the_zero_vector):
-# x^0 at eps, its terms that l divides, and x^0 at 1, one term each.
+# x^0 at 1 and x^{l 0} at eps for the pushforward, x^0 at eps for the
+# splitting and x^0 at 1 to compare its split with, one term each.
 TRACED = {"cartan": "A3", "word": [1, 2, 1, 3, 2, 1], "l_values": [3, 5],
           "mutations": {"depth": 1}, "exponents": {"max_entry": 1},
           "checks": ["THEOREM"]}
 TRACED_COUNTS = {
-    "frobsplit.monomial.calls": 24, "frobsplit.monomial.terms_out": 24,
+    "frobsplit.monomial.calls": 32, "frobsplit.monomial.terms_out": 32,
     "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
     "qtorus.mul.laurent.terms_out": 20,
     "qtorus.mul.one.calls": 68, "qtorus.mul.one.term_pairs": 92,

@@ -15,7 +15,6 @@ from qcfrob.frobsplit import (
     ProductTable,
     SeedExpander,
     TheoremSession,
-    _first_difference,
     _split_mismatch,
     check_modp_division,
     check_split_axioms,
@@ -302,44 +301,6 @@ def _scaled_frozen_seed(scale):
     return QuantumSeed(base.datum, base.btilde, base.lam, variables)
 
 
-@pytest.mark.parametrize("l", [3, 5, 9, 15, 21])
-def test_monomial_keeps_the_terms_a_divisor_divides(l):
-    # monomial(a, d) against the terms of monomial(a) whose exponents d
-    # divides, on every ring adapter; l = 9, 15 and 21 are composite, and
-    # over Z[v, v^-1] and F_p l is only the divisor
-    rings = [LR, PrimeField(3), PrimeField(5), CycloRing(l, Point.ONE), CycloRing(l, Point.EPS)]
-    # on B2 after mutating position 2, x^(1,3,-1,-1) and x^(1,3,2,-1) keep a
-    # term at d = 3 whose frozen part b is not divisible by 3
-    seeds = [(cell_seed("A3", A3_WORD), []), (cell_seed("A3", A3_WORD, (0,)), []),
-             (cell_seed("B2", B2_WORD, (1,)), [(1, 3, -1, -1), (1, 3, 2, -1)]),
-             (_scaled_frozen_seed(IntLaurent({-2: -1})), [])]
-    empty = proper = 0
-    for seed, extra in seeds:
-        r, frozen = seed.rank, max(seed.btilde.cols) + 1
-        rng = random.Random(f"divisor:{l}:{r}")
-        units = [tuple(int(s == t) for s in range(r)) for t in range(r)]
-        vectors = ([(0,) * r] + extra + [tuple(l * x for x in e) for e in units]
-                   + [tuple(l * (x + (s == frozen)) for s, x in enumerate(e)) for e in units]
-                   + [tuple(rng.randrange(3) if s < frozen else rng.randrange(-2, 3)
-                            for s in range(r)) for _ in range(6)])
-        for ring in rings:
-            expander = SeedExpander(seed, ring)
-            for a in vectors:
-                # the restricted expansions first, so none reads a memo
-                # that the whole expansion filled
-                got = {d: expander.monomial(a, d) for d in (1, l, 3 * l)}
-                whole = expander.monomial(a).terms
-                for d, out in got.items():
-                    want = {k: c for k, c in whole.items() if all(x % d == 0 for x in k)}
-                    assert out.terms == want, (ring, a, d)
-                    assert (out.ring, out.form) == (ring, expander.ambient)
-                    empty += not want
-                    proper += 0 < len(want) < len(whole)
-    assert empty and proper
-    with pytest.raises(ValueError, match="divisor"):
-        SeedExpander(seeds[0][0], LR).monomial((0,) * 6, 0)
-
-
 def test_expander_handles_negative_frozen_exponents():
     seed = cell_seed("A2", A2_WORD)
     exp = SeedExpander(seed, CycloRing(3, Point.ONE))
@@ -460,12 +421,10 @@ def test_shared_power_table_keys_the_element_raised():
 
 
 def test_splitting_compared_when_l_divides_a_and_no_term_is_kept(monkeypatch):
-    # the splitting branch may skip frp_star only when l does not divide a:
-    # a restricted expansion that loses every term must fail where l does
-    monomial = SeedExpander.monomial
-    monkeypatch.setattr(SeedExpander, "monomial", lambda expander, a, divisor=1: (
-        monomial(expander, a) if divisor == 1
-        else TorusElement.zero(expander.ring, expander.ambient)))
+    # a split that keeps no term is the expected one only when l does not
+    # divide a: a frp_star that returns zero must fail where l does
+    monkeypatch.setattr(frobsplit, "frp_star",
+                        lambda f: TorusElement.zero(CycloRing(f.ring.l, Point.ONE), f.form))
     session = TheoremSession(cell_seed("A2", A2_WORD, (0,)), 3)
     assert session.check((1, 0, 0)).passed
     out = session.check((3, 3, 0))
@@ -476,26 +435,6 @@ def test_theorem_rejects_negative_exponents():
     session = TheoremSession(cell_seed("A2", A2_WORD), 3)
     with pytest.raises(ValueError):
         session.check((-1, 0, 0))
-
-
-def _reference_check(session, a) -> CheckOutcome:
-    """TheoremSession.check as it was before it took the pushforward per
-    prefix and expanded only the terms the splitting keeps: three whole
-    expansions, compared as torus elements."""
-    l = session.l
-    a = tuple(int(x) for x in a)
-    pushed = frobsplit.fr_star(session.at_one.monomial(a))
-    scaled = session.at_eps.monomial(tuple(l * x for x in a))
-    if pushed != scaled:
-        witness = _first_difference(pushed, scaled)
-        witness.update(branch="pushforward", exponent=list(a))
-        return CheckOutcome(False, 1, witness=witness)
-    witness = _split_mismatch(frobsplit.frp_star(session.at_eps.monomial(a)), session.at_one,
-                              a, l)
-    if witness is not None:
-        witness["branch"] = "splitting"
-        return CheckOutcome(False, 2, witness=witness)
-    return CheckOutcome(True, 2)
 
 
 def _box(r, max_entry, l):
@@ -510,18 +449,14 @@ def _depth_one(preset, word):
                                         for p in cell_seed(preset, word).btilde.cols]
 
 
-def _compare_with_whole_expansions(seeds, orders, max_entry) -> int:
-    """Assert the check and _reference_check give the same verdict, checked
-    and witness on every vector of the box at every order; the FAIL count."""
+def _box_failures(seeds, orders, max_entry) -> int:
+    """The FAILs of check, which compares whole expansions, on every vector
+    of the box at every order."""
     failed = 0
     for seed in seeds:
         for l in orders:
-            session, reference = TheoremSession(seed, l), TheoremSession(seed, l)
-            for a in _box(seed.rank, max_entry, l):
-                got, want = session.check(a), _reference_check(reference, a)
-                assert (got.passed, got.checked, got.witness) == (
-                    want.passed, want.checked, want.witness), (l, a)
-                failed += not got.passed
+            session = TheoremSession(seed, l)
+            failed += sum(not session.check(a).passed for a in _box(seed.rank, max_entry, l))
     return failed
 
 
@@ -538,8 +473,10 @@ DIFFERENTIAL = {
 
 @pytest.mark.parametrize("case", list(DIFFERENTIAL))
 def test_check_matches_whole_expansions(case):
+    # the theorem holds on every box: check, the definition on whole
+    # expansions, passes every vector
     seeds, orders, max_entry = DIFFERENTIAL[case]
-    assert _compare_with_whole_expansions(seeds(), orders, max_entry) == 0
+    assert _box_failures(seeds(), orders, max_entry) == 0
 
 
 def _reversed_eps_shift(monkeypatch):
@@ -573,7 +510,7 @@ def _frp_star_negated(monkeypatch):
                         lambda f: -out if len((out := split(f)).terms) > 1 else out)
 
 
-# a broken primitive that both checks call, and whether the check must fail
+# a broken primitive that check and check_all call, and whether check must fail
 BROKEN = {"reversed-eps-shift": (_reversed_eps_shift, False),
           "no-cross-term": (_suffix_twist_without_cross_term, False),
           "fr-star-times-eps": (_fr_star_times_eps, True),
@@ -582,9 +519,9 @@ BROKEN = {"reversed-eps-shift": (_reversed_eps_shift, False),
 
 @pytest.mark.parametrize("name", list(BROKEN))
 def test_check_matches_whole_expansions_with_a_broken_primitive(name, monkeypatch):
-    # Both checks must agree under every break.  A break that the check
-    # need not catch must still reach an expansion at eps, or the case
-    # would compare unbroken code.
+    # check_all fails under every break exactly when check does.  A break
+    # that check need not catch must still reach an expansion at eps, or
+    # the case would compare unbroken code.
     seeds = _depth_one("A3", A3_WORD)
     probe = (1, 1, 1, 1, 0, 0)
     before = [SeedExpander(seed, CycloRing(3, Point.EPS)).monomial(probe) for seed in seeds]
@@ -592,7 +529,7 @@ def test_check_matches_whole_expansions_with_a_broken_primitive(name, monkeypatc
     breaks(monkeypatch)
     after = [SeedExpander(seed, CycloRing(3, Point.EPS)).monomial(probe) for seed in seeds]
     assert must_fail or before != after
-    failed = _compare_with_whole_expansions(seeds, (3, 5), 1)
+    failed = _box_failures(seeds, (3, 5), 1)
     assert failed or not must_fail
     rng = random.Random(f"check-all:{name}")
     assert bool(_compare_batches(seeds, (3, 5), _shuffled_box(1, rng))) == bool(failed)
@@ -770,17 +707,14 @@ def test_check_all_compares_the_splitting_where_the_loop_does(name, monkeypatch)
 
 class _Stub:
     """An expander for check_all's line-ups that ignores its argument except
-    where a suffix is given: its block product at eps and its pushforward
-    have the terms given, so every prefix lines up."""
+    where a suffix is given: its block products have the terms given, so
+    with fr_star the identity every prefix lines up."""
 
     def __init__(self, size, terms, suffixes):
         self._block, self.size, self.terms, self.suffixes = size - 1, size, terms, suffixes
 
     def _block_product(self, prefix):
         return types.SimpleNamespace(terms=self.terms), 0
-
-    def pushforward(self, a):
-        return self.terms
 
     def _suffix_monomial(self, suffix):
         return self.suffixes[suffix]
@@ -789,7 +723,8 @@ class _Stub:
 def _residue_session(l, exponents, b) -> TheoremSession:
     """A session at l whose block products at eps have the given term
     exponents and whose suffix (1,) has the monomial x^b at eps, lined up
-    with x^0 at 1; check(a) records a and passes."""
+    with x^0 at 1; check(a) records a and passes.  The caller makes fr_star
+    the identity."""
     r = len(b)
     terms = dict.fromkeys(exponents, 1)
     zero = ((0,) * r, None, None, 0, ())
@@ -803,10 +738,11 @@ def _residue_session(l, exponents, b) -> TheoremSession:
 
 
 @pytest.mark.parametrize("l", [3, 5, 9, 15])
-def test_residue_test_matches_the_exponent_loop(l):
+def test_residue_test_matches_the_exponent_loop(l, monkeypatch):
     # check_all passes a vector l does not divide exactly when no term
     # exponent q of its prefix's product at eps has l | q + b, the loop it
     # replaced; q and b take negative entries and every residue class
+    monkeypatch.setattr(frobsplit, "fr_star", lambda f: f)
     rng = random.Random(f"residues:{l}")
     decisions = set()
     for _ in range(400):
@@ -865,13 +801,12 @@ def test_modp_division_explicit_values():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_modp_division_matches_the_whole_split(p):
-    # the restricted expansion over the untwisted F_p against the split of
-    # the whole expansion, on the A3 box and on p times its 0-1 corner
+    # check_modp_division against the split of the whole expansion over the
+    # untwisted F_p, on the A3 box and on p times its 0-1 corner
     for seed in _depth_one("A3", A3_WORD):
         expander = SeedExpander(seed, PrimeField(p))
         for a in _box(6, 3, p):
             split = modp_split(expander.monomial(a))
-            assert modp_split(expander.monomial(a, p)) == split, a
             got = check_modp_division(expander, a)
             want = _split_mismatch(split, expander, a, p)
             assert (got.passed, got.checked, got.witness) == (want is None, 1, want), a
