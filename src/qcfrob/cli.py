@@ -457,8 +457,8 @@ _PRODUCTS = ProductTable()
 # emptied.  Block products range from one term to thousands, so the bound
 # counts terms, not entries.  On a cell of finite cluster type the seeds
 # share their variables and the table levels off: serially, theorem-scatter
-# ends at 26.7k terms (12.6k at l = 3, 14.1k at l = 5, in 2,444 entries)
-# and a3-theorem at 9.1k.  A term took about 320 bytes there (l = 3 and 5,
+# ends at 26.7k terms (12.6k at l = 3, 14.1k at l = 5, in 2,460 entries)
+# and a3-theorem at 9.1k.  A term took about 330 bytes there (l = 3 and 5,
 # traced with tracemalloc), so the bound is about 16 MB; a coefficient has
 # l - 1 entries, so a term costs more at larger l.  On a cell of infinite
 # type each mutation makes new variables, and without the bound every

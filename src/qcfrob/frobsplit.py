@@ -15,7 +15,7 @@ import math
 from operator import add, mul
 
 from .coeff import CycloInt, IntLaurent, Point
-from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
+from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement, int_vector
 from .rootdatum import is_reduced
 from .uqn import CheckOutcome
 
@@ -25,7 +25,8 @@ from .uqn import CheckOutcome
 def to_ring(f: TorusElement, ring) -> TorusElement:
     """Map integer-Laurent coefficients into ring, coefficientwise on the
     monomial basis; multiplicative because ring.from_laurent is a ring map
-    sending v^m to the ring's v_shift(one(), m)."""
+    sending v^m to the ring's v_shift(one(), m), so products of mapped
+    variables, as SeedExpander takes them, are the mapped products."""
     return TorusElement(ring, f.form, {a: ring.from_laurent(c) for a, c in f.terms.items()})
 
 
@@ -127,15 +128,13 @@ class ProductTable(dict):
     """Products of cluster-variable powers over specialized rings, keyed by
     their factors, for every SeedExpander given the table.
 
-    A block product y_{t_1}^{e_1} ... y_{t_k}^{e_k} (t_1 < ... < t_k, every
-    e nonzero) is keyed by the ring, the ambient form and the tuple of
+    A product y_{t_1}^{e_1} ... y_{t_k}^{e_k} (t_1 < ... < t_k, every e
+    nonzero) is keyed by the ring, the ambient form and the tuple of
     (terms of y_t, e); a power y^e is the one-factor case, and the empty
-    product is 1.  A frozen-suffix monomial c x^b is kept as (b, c or None
-    when c is the ring's one, M b), keyed by its factors the same way and
-    "monomial".  An entry names the elements multiplied, not a seed: the
+    product is 1.  An entry names the elements multiplied, not a seed: the
     seeds of a cell share most of their cluster variables, and every seed
     of a word shares its frozen ones, which never mutate.  terms counts the
-    terms the entries hold, one for a monomial.
+    terms the entries hold.
     """
 
     terms = 0
@@ -151,23 +150,19 @@ class SeedExpander:
     Expanding directly over the specialized ring is legitimate because the
     coefficient specialization is a ring map, so it commutes with the
     normal-ordered product defining x^a.  Split a = p + s at the end of the
-    leading block of positions (up to the last exchangeable one).  The
-    product over the block is memoized by p, with twist(p).  Positions past
-    the block are never mutated, so their product is one monomial c x^b,
-    kept by s with M b (M the ambient form) and the two parts of the twist
-    that depend on s: twist(0 + s) and the vector w with
-    twist(a) = twist(p) + twist(0 + s) + p.w.  monomial(a) is one pass of
-    unit shifts over the prefix product:
-    c_q x^q -> v_shift(c_q, twist(a) + q.Mb) x^{q+b},
+    leading block of positions (up to the last exchangeable one).  Positions
+    past the block are never mutated, and each of their variables is one
+    term, so part(block, s) is one term c x^b.  monomial(a) is one pass of
+    unit shifts over part(0, p):
+    c_q x^q -> v_shift(c_q, twist(a) + L(q, b)) x^{q+b},
     times c only where c is not the ring's one.  Each term is a product of
     nonzero coefficients over a domain (Z[v, v^-1], Z[eps] or F_p), so none
     needs canon.
 
-    The block products and the suffix monomial c x^b (with M b) come from a
-    ProductTable: a private one by default, or the products table passed
-    in, which may serve every expander of every seed over any ring whose
-    coefficients hash.  Only the twist parts, which read the seed's form,
-    are kept per expander.
+    The parts come from a ProductTable: a private one by default, or the
+    products table passed in, which may serve every expander of every seed
+    over any ring whose coefficients hash.  The twist, which reads the
+    seed's form, is taken per vector.
     """
 
     def __init__(self, seed, ring, products: ProductTable | None = None):
@@ -177,19 +172,18 @@ class SeedExpander:
         self.variables = [to_ring(y, ring) for y in seed.variables]
         self.ambient = self.variables[0].form
         cols = seed.btilde.cols
-        self._block = (max(cols) + 1) if cols else 0
+        self.block = (max(cols) + 1) if cols else 0
+        if any(len(y.terms) != 1 for y in self.variables[self.block:]):
+            raise ValueError("variables past the exchangeable block are not monomials")
+        self._one = ring.one()
         self._table = ProductTable() if products is None else products
         self._keys = [frozenset(y.terms.items()) for y in self.variables]
-        self._prefix: dict = {}
-        self._suffix: dict = {}
-
-    def _key(self, factors) -> tuple:
-        return self.ring, self.ambient, tuple([(self._keys[t], e) for t, e in factors])
+        self._parts: dict = {}
 
     def _product(self, factors) -> TorusElement:
         """The ordered product of y_t^e over factors, (t, e) pairs with e
         nonzero and t increasing, from the table."""
-        key = self._key(factors)
+        key = self.ring, self.ambient, tuple([(self._keys[t], e) for t, e in factors])
         got = self._table.get(key)
         if got is None:
             if not factors:
@@ -203,47 +197,27 @@ class SeedExpander:
             self._table.terms += len(got.terms)
         return got
 
-    def _block_product(self, prefix) -> tuple:
-        """(product over the block, twist(prefix))."""
-        got = self._prefix.get(prefix)
+    def part(self, start: int, exponents: tuple) -> TorusElement:
+        """The ordered product of y_t^{e_t} over t = start, start + 1, ...,
+        e_t the exponents in turn."""
+        got = self._parts.get((start, exponents))
         if got is None:
-            factors = tuple([(t, e) for t, e in enumerate(prefix) if e])
-            got = self._prefix[prefix] = (self._product(factors), self.seed.lam.twist(prefix))
-        return got
-
-    def _suffix_monomial(self, suffix) -> tuple:
-        """(b, c or None when c is the ring's one, M b, twist(0 + s), w)."""
-        got = self._suffix.get(suffix)
-        if got is None:
-            factors = tuple([(t, e) for t, e in enumerate(suffix, self._block) if e])
-            key = (*self._key(factors), "monomial")
-            mono = self._table.get(key)
-            if mono is None:
-                acc = TorusElement.one(self.ring, self.ambient)
-                for factor in factors:
-                    acc = acc * self._product((factor,))
-                if len(acc.terms) != 1:
-                    raise ValueError("variables past the exchangeable block are not monomials")
-                (b, c), = acc.terms.items()
-                mono = self._table[key] = (b, None if c == self.ring.one() else c,
-                                           self.ambient.image(b))
-                self._table.terms += 1
-            got = self._suffix[suffix] = (*mono, *self.seed.lam.suffix_twist(suffix))
+            got = self._parts[start, exponents] = self._product(
+                tuple([(t, e) for t, e in enumerate(exponents, start) if e]))
         return got
 
     def monomial(self, a) -> TorusElement:
         """Expansion of the normalized cluster monomial x^a at this ring."""
-        a = tuple(map(int, a))
+        a = int_vector(a)
         if len(a) != self.size:
             raise ValueError("exponent vector has wrong length")
-        prefix = a[:self._block]
-        product, twist = self._block_product(prefix)
-        b, c, mb, twist_s, w = self._suffix_monomial(a[self._block:])
-        twist += twist_s + sum(map(mul, prefix, w))
-        shift = self.ring.v_shift if c is None else lambda cq, k: self.ring.mul_v(cq, c, k)
-        return TorusElement.from_canonical(self.ring, self.ambient, {
+        ring, block = self.ring, self.block
+        (b, c), = self.part(block, a[block:]).terms.items()
+        mb, twist = self.ambient.image(b), self.seed.lam.twist(a)
+        shift = ring.v_shift if c == self._one else lambda cq, k: ring.mul_v(cq, c, k)
+        return TorusElement.from_canonical(ring, self.ambient, {
             tuple(map(add, q, b)): shift(cq, twist + sum(map(mul, q, mb)))
-            for q, cq in product.terms.items()})
+            for q, cq in self.part(0, a[:block]).terms.items()})
 
 
 def _first_difference(left: TorusElement, right: TorusElement) -> dict:
@@ -293,15 +267,15 @@ class TheoremSession:
 
     check_all(vectors) checks a batch with the same outcome as check on
     each vector in turn.  It compares the two sides of the pushforward once
-    per block prefix and once per suffix, where every unit shift between
+    per block part and once per tail part, where every unit shift between
     them is trivial, and builds no expansion for a vector that passes.  A
-    vector whose splitting has something to compare, or whose prefix or
-    suffix does not compare equal, goes through check.
+    vector whose splitting has something to compare, or whose block or
+    tail part does not line up, goes through check.
 
     products, when given, is the ProductTable both expanders share.  It may
-    outlive the session: its block products and suffix monomials serve
-    every later seed with the same factors, at either point and order,
-    while the twists are read from each session's seed."""
+    outlive the session: its products serve every later seed with the same
+    factors, at either point and order, while the twists are read from
+    each session's seed."""
 
     def __init__(self, seed, l: int, products: ProductTable | None = None):
         require_valid_order(seed.datum, l)
@@ -312,7 +286,7 @@ class TheoremSession:
 
     def check(self, a) -> CheckOutcome:
         l = self.l
-        a = tuple(map(int, a))
+        a = int_vector(a)
         if any(x < 0 for x in a):
             raise ValueError("cluster monomial exponents must be nonnegative")
 
@@ -334,45 +308,43 @@ class TheoremSession:
         batch's verdict, the checks counted up to there, and that FAIL's
         witness and note.
 
-        Split a = p + s at the end of the block.  x^{la} at eps is the
-        product of l p at eps times the monomial c' x^{b'} of l s at eps,
-        its term at q shifted by v^k, k = twist(l p) + twist(0 + l s)
-        + l p.w + q.M b'.  l divides l p.w, and q.M b' when b' = l b.  It
-        divides both twists too (each is l^2 times a twist), and that is
-        checked once per prefix and once per suffix.  Every shift is then
-        eps^{k(l+1)/2} = 1, so x^{la} at eps is the pushforward of x^a
-        when the product of l p at eps has the terms of the pushforward of
-        x^{p + 0}, and c' x^{b'} is c x^{l b} for the monomial c x^b of s
-        at 1.  With q an exponent of the product of p at eps and x^b the
-        monomial of s at eps, the splitting keeps the term of x^a at eps at
-        q + b exactly when l divides q + b, that is when q = -b mod l.  So
-        a vector that lines up on both, that l does not divide (l does not
-        divide both p and s), and whose -b mod l is none of the residues
-        mod l of its prefix's exponents passes with no expansion built.
-        The int conversion, the negativity test, the line-ups, divisibility
-        and residues are worked out once per prefix and once per suffix.
+        Split a = p + s at the end of the block, so that x^{la} at eps is
+        v^{twist(l a)} part(0, l p) part(block, l s) at eps.  twist(l a)
+        = l^2 twist(a), and where part(0, l p) and part(block, l s) at eps
+        have the terms of the pushforwards of part(0, p) and part(block, s)
+        at 1, with l dividing twist(l p + 0) and twist(0 + l s), every shift
+        between the two sides is eps^{k(l+1)/2} for k a multiple of l, which
+        is 1.  So x^{la} at eps is then the pushforward of x^a.  With q an
+        exponent of part(0, p) at eps and x^b the one term of part(block, s)
+        at eps, the splitting keeps the term of x^a at eps at q + b exactly
+        when l divides q + b, that is when q = -b mod l.  So a vector whose
+        parts both line up, that l does not divide (l does not divide both
+        p and s), and whose -b mod l is none of the residues mod l of the
+        exponents of part(0, p) at eps passes with no expansion built.  The
+        int conversion, the negativity test, the line-ups, divisibility and
+        residues are worked out once per block part and once per tail part.
         Every other vector, or one of the wrong length, goes through
         check(a), the only code that builds witnesses."""
-        block, size = self.at_one._block, self.at_one.size
-        prefixes: dict = {}
-        suffixes: dict = {}
+        block, size = self.at_one.block, self.at_one.size
+        heads: dict = {}
+        tails: dict = {}
         checked = 0
         for a in vectors:
             a = tuple(a)
             if len(a) == size:
-                prefix, suffix = a[:block], a[block:]
-                p, s = prefixes.get(prefix), suffixes.get(suffix)
+                head, tail = a[:block], a[block:]
+                p, s = heads.get(head), tails.get(tail)
                 if p is None or s is None:
-                    ints = tuple(map(int, a))
+                    ints = int_vector(a)
                     if min(ints, default=0) < 0:
                         raise ValueError("cluster monomial exponents must be nonnegative")
                     if p is None:
-                        p = prefixes[prefix] = self._lined_up_prefix(ints[:block])
+                        p = heads[head] = self._lined_up(0, ints[:block], 1)
                     if s is None:
-                        s = suffixes[suffix] = self._lined_up_suffix(ints[block:])
-                (p_divides, residues), (s_divides, minus_b) = p, s
-                if residues is not None and minus_b is not None and not (
-                        p_divides and s_divides) and minus_b not in residues:
+                        s = tails[tail] = self._lined_up(block, ints[block:], -1)
+                (p_divides, residues), (s_divides, negated) = p, s
+                if residues is not None and negated is not None and not (
+                        p_divides and s_divides) and residues.isdisjoint(negated):
                     checked += 2
                     continue
             step = self.check(a)
@@ -381,35 +353,24 @@ class TheoremSession:
                 return CheckOutcome(False, checked, step.witness, step.note)
         return CheckOutcome(True, checked)
 
-    def _lined_up_prefix(self, p) -> tuple:
-        """(whether l divides p, the residues mod l of the exponents of the
-        product of p at eps), the residues None unless l divides twist(l p)
-        and the product of l p at eps is the pushforward of x^{p + 0}."""
+    def _lined_up(self, start: int, u: tuple, sign: int) -> tuple:
+        """(whether l divides u, the residues mod l of sign times the
+        exponents of part(start, u) at eps), the residues None unless l
+        divides twist(0 + l u) and part(start, l u) at eps has the terms of
+        the pushforward of part(start, u) at 1."""
         l = self.l
-        product, twist = self.at_eps._block_product(tuple([l * x for x in p]))
-        pushed = fr_star(self.at_one._block_product(p)[0]).terms
-        divides = not any(map(l.__rmod__, p))
-        if twist % l or product.terms != pushed:
+        lu = tuple([l * x for x in u])
+        divides = not any(map(l.__rmod__, u))
+        if self.seed.lam.twist((0,) * start + lu) % l or (
+                self.at_eps.part(start, lu).terms != fr_star(self.at_one.part(start, u)).terms):
             return divides, None
-        return divides, {tuple([x % l for x in q]) for q in self.at_eps._block_product(p)[0].terms}
-
-    def _lined_up_suffix(self, s) -> tuple:
-        """(whether l divides s, -b mod l for the exponent b of the monomial
-        of s at eps), -b None unless the monomial of l s at eps is c x^{l b}
-        for the monomial c x^b of s at 1, and l divides twist(0 + l s)."""
-        l = self.l
-        b, c, *_ = self.at_one._suffix_monomial(s)
-        lb, lc, _, twist, _ = self.at_eps._suffix_monomial(tuple([l * x for x in s]))
-        divides = not any(map(l.__rmod__, s))
-        if lb != tuple([l * x for x in b]) or lc != c or twist % l:
-            return divides, None
-        return divides, tuple([-x % l for x in self.at_eps._suffix_monomial(s)[0]])
+        return divides, {tuple([sign * x % l for x in q]) for q in self.at_eps.part(start, u).terms}
 
 
 def check_modp_division(expander: SeedExpander, a) -> CheckOutcome:
     """Mod-p shadow of the theorem: the splitting of the mod-p expansion of
     x^a is the expansion of x^{a/p}, or zero when p does not divide a."""
-    a, p = tuple(int(x) for x in a), expander.ring.p
+    a, p = int_vector(a), expander.ring.p
     witness = _split_mismatch(modp_split(expander.monomial(a)), expander, a, p)
     return CheckOutcome(witness is None, 1, witness=witness)
 

@@ -176,29 +176,24 @@ class SkewForm:
 
     def image(self, b) -> tuple:
         """M b, so that L(a, b) is the dot product of a with it."""
-        return tuple(sum(map(mul, row, b)) for row in self.mat)
+        return tuple([sum(map(mul, row, b)) for row in self.mat])
 
     def twist(self, a) -> int:
         """Exponent of v normalizing the ordered product x_1^{a_1} ... x_r^{a_r}."""
-        total = 0
-        mat = self.mat
-        for i, ai in enumerate(a):
-            if ai:
-                row = mat[i]
-                total += ai * sum(row[j] * a[j] for j in range(i))
-        return total
-
-    def suffix_twist(self, s) -> tuple:
-        """For a = p + s, p the first r - len(s) entries: twist(0 + s) and the
-        vector w with twist(a) = twist(p) + twist(0 + s) + p.w."""
-        k = self.r - len(s)
-        padded = (0,) * k + tuple(s)
-        w = tuple(sum(self.mat[i][j] * e for i, e in enumerate(padded) if e)
-                  for j in range(k))
-        return self.twist(padded), w
+        return sum([ai * sum(map(mul, row, a[:i]))
+                    for i, (ai, row) in enumerate(zip(a, self.mat)) if ai])
 
 
 # -- torus elements --------------------------------------------------------
+
+def int_vector(a) -> tuple:
+    """a as a tuple of ints; ValueError when an entry is not integral."""
+    a = tuple(a)
+    out = tuple(map(int, a))
+    if out != a:
+        raise ValueError("exponents must be integers")
+    return out
+
 
 class TorusElement:
     """Finite sum of monomials c_a x^a over a fixed ring and skew form."""
@@ -228,7 +223,7 @@ class TorusElement:
 
     @classmethod
     def monomial(cls, ring, form, a, coeff=None):
-        a = tuple(int(x) for x in a)
+        a = int_vector(a)
         if len(a) != form.r:
             raise ValueError("exponent vector has wrong length")
         return cls(ring, form, {a: ring.one() if coeff is None else coeff})
@@ -318,7 +313,7 @@ def normal_product(variables, cluster_form: SkewForm, a) -> TorusElement:
     order); the result lives wherever the y_i do, typically the initial
     torus.
     """
-    a = tuple(int(x) for x in a)
+    a = int_vector(a)
     if len(variables) != cluster_form.r or len(a) != cluster_form.r:
         raise ValueError("variable list, form and exponent sizes disagree")
     ring = variables[0].ring

@@ -9,7 +9,6 @@ import functools
 import itertools
 import random
 
-import pytest
 import sympy
 
 from qcfrob.cli import enumerate_mutation_sequences

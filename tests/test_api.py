@@ -10,6 +10,7 @@ import sys
 import qcfrob
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "qcfrob"
+TEST_DIR = pathlib.Path(__file__).parent
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
@@ -37,9 +38,10 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_every_import_is_used():
-    # a deletion that leaves an import behind shows here; __init__.py
-    # imports to re-export, and __future__ names switch features on
-    for path in sorted(SRC.glob("*.py")):
+    # a deletion that leaves an import behind shows here, in the package or
+    # its tests; __init__.py imports to re-export, and __future__ names
+    # switch features on
+    for path in sorted(SRC.glob("*.py")) + sorted(TEST_DIR.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))

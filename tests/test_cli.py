@@ -627,8 +627,7 @@ def test_power_table_emptied_past_its_cap(monkeypatch):
 
     def recording(seed, l, products):
         sizes.append(products.terms)
-        assert products.terms == sum(len(v.terms) if isinstance(v, TorusElement) else 1
-                                     for v in products.values())
+        assert products.terms == sum(len(v.terms) for v in products.values())
         return session(seed, l, products)
 
     monkeypatch.setattr(cli, "TheoremSession", recording)
@@ -1027,7 +1026,7 @@ def _count_torus_calls(monkeypatch) -> dict:
 # The counts the benchmark's frobsplit.monomial.* and qtorus.mul.* rows read
 # on A3 at l = 3 and 5: 8 batches of the 64 vectors of the 0-1 box.  The
 # qtorus.mul.* counts are those of one product table shared by the 8
-# batches: each block product and suffix monomial is built once per run
+# batches: each product of a block part or a tail part is built once per run
 # (see test_traced_products_built_once), and zero exponents take no
 # product.  frobsplit.monomial runs only in check(a), which check_all
 # leaves to a = 0 in each batch (see test_traced_fallback_is_the_zero_vector):
@@ -1040,10 +1039,10 @@ TRACED_COUNTS = {
     "frobsplit.monomial.calls": 32, "frobsplit.monomial.terms_out": 32,
     "qtorus.mul.laurent.calls": 20, "qtorus.mul.laurent.term_pairs": 20,
     "qtorus.mul.laurent.terms_out": 20,
-    "qtorus.mul.one.calls": 68, "qtorus.mul.one.term_pairs": 92,
-    "qtorus.mul.one.terms_out": 92,
-    "qtorus.mul.eps.calls": 181, "qtorus.mul.eps.term_pairs": 313,
-    "qtorus.mul.eps.terms_out": 259}
+    "qtorus.mul.one.calls": 52, "qtorus.mul.one.term_pairs": 76,
+    "qtorus.mul.one.terms_out": 76,
+    "qtorus.mul.eps.calls": 149, "qtorus.mul.eps.term_pairs": 281,
+    "qtorus.mul.eps.terms_out": 227}
 
 
 def test_traced_torus_counts_pinned(monkeypatch):
@@ -1054,22 +1053,26 @@ def test_traced_torus_counts_pinned(monkeypatch):
 
 
 def test_traced_products_built_once(monkeypatch):
-    # the 8 batches share one table, so no block product or suffix monomial
+    # the 8 batches share one table, so no product of a block or tail part
     # is built twice: a table per batch or per expander builds the products
-    # of the variables the seeds have in common again
+    # of the variables the seeds have in common again.  The frozen variables
+    # are x_4, x_5 and x_6 in every seed, so a tail product is a monomial
+    # off the block.
     built = []
     setitem = ProductTable.__setitem__
 
     def recording(table, key, value):
-        built.append(key)
+        built.append((key, value))
         setitem(table, key, value)
 
     monkeypatch.setattr(ProductTable, "__setitem__", recording)
     records = run(Campaign.from_dict(TRACED))["checks"]
     assert {rec["verdict"] for rec in records} == {"PASS"}
-    monomials = [key for key in built if key[-1] == "monomial"]
-    assert monomials and len(monomials) < len(built)
-    assert len(built) == len(set(built))
+    exponents = [next(iter(value.terms)) for _, value in built if len(value.terms) == 1]
+    tails = [b for b in exponents if any(b) and not any(b[:3])]
+    assert tails and len(tails) < len(built)
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys))
     assert cli._PRODUCTS == {}
 
 

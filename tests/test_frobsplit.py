@@ -15,7 +15,6 @@ from qcfrob.frobsplit import (
     ProductTable,
     SeedExpander,
     TheoremSession,
-    _split_mismatch,
     check_modp_division,
     check_split_axioms,
     embed_padded,
@@ -32,7 +31,7 @@ from qcfrob.qtorus import CycloRing, LaurentRing, PrimeField, SkewForm, TorusEle
 from qcfrob.rootdatum import beta_sequence, cartan_preset
 from qcfrob.uqn import CheckOutcome
 
-from _classical import classical_mutate_vars, torus_at_one
+from _classical import classical_mutate_vars
 from _seeds import A2_WORD, A3_WORD, B2_WORD, cell_form, cell_seed
 
 LR = LaurentRing()
@@ -282,13 +281,13 @@ def _check_expander(seed, label):
 
 @pytest.mark.parametrize("scale", [IntLaurent({1: 1}), IntLaurent({-2: -1})])
 def test_expander_with_frozen_variable_scaled_by_v(scale):
-    # a frozen variable times a unit other than 1: the frozen suffix then
+    # a frozen variable times a unit other than 1: the tail part then
     # carries a coefficient that is not the ring's one, except at v = 1 for
     # v, and the expansion multiplies by it
     expanders = _check_expander(_scaled_frozen_seed(scale), f"scaled:{scale!r}")
     for ring, exp in zip(EXPANDER_RINGS, expanders):
-        carried = [c for _, c, *_ in exp._suffix.values() if c is not None]
-        assert carried or ring.from_laurent(scale) == ring.one(), ring
+        tail = exp.part(exp.block, (1,) + (0,) * (exp.size - exp.block - 1))
+        assert list(tail.terms.values()) == [ring.from_laurent(scale)], ring
 
 
 def _scaled_frozen_seed(scale):
@@ -309,10 +308,28 @@ def test_expander_handles_negative_frozen_exponents():
 
 
 def test_expander_rejects_non_monomial_frozen_product():
-    exp = SeedExpander(cell_seed("A2", A2_WORD), CycloRing(3, Point.ONE))
-    exp.variables[2] = exp.variables[2] + exp.variables[0]
+    base = cell_seed("A2", A2_WORD)
+    variables = list(base.variables)
+    variables[2] = variables[2] + variables[0]
+    seed = QuantumSeed(base.datum, base.btilde, base.lam, variables)
     with pytest.raises(ValueError, match="not monomials"):
-        exp.monomial((0, 0, 1))
+        SeedExpander(seed, CycloRing(3, Point.ONE))
+
+
+def test_non_integral_exponents_raise():
+    # an entry int() would truncate is an error, not the vector truncated;
+    # check and check_all are covered by test_check_all_raises_what_check_raises
+    seed = cell_seed("A3", A3_WORD, (0,))
+    field = PrimeField(3)
+    calls = [lambda: SeedExpander(seed, field).monomial((True, 0.9, 0, 0, 0, 0)),
+             lambda: check_modp_division(SeedExpander(seed, field), (0.5,) * 6),
+             lambda: TorusElement.monomial(field, seed.lam, (1, 0, 0, 0, 0, 0.5)),
+             lambda: cluster_monomial(seed, (0, 0, 0, 0, 0, 1.5))]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    session = TheoremSession(seed, 3)
+    assert session.check((1.0, 0, 2, 0, 0, 0)) == session.check((1, 0, 2, 0, 0, 0))
 
 
 # -- the theorem -----------------------------------------------------------
@@ -410,9 +427,8 @@ def test_shared_power_table_keys_the_element_raised():
     assert first._product(((1, 2),)) == y * y
     assert mutated._product(((1, 2),)) is first._product(((1, 2),))
     assert first._product(((1, 3),)) == y * y * y
-    assert mutated._block_product((0, 2))[0] is first._block_product((0, 2))[0]
-    assert (mutated._block_product((1, 2))[0]
-            == mutated.variables[0] * y * y != first._block_product((1, 2))[0])
+    assert mutated.part(0, (0, 2)) is first.part(0, (0, 2))
+    assert mutated.part(0, (1, 2)) == mutated.variables[0] * y * y != first.part(0, (1, 2))
     at_one = SeedExpander(seed, CycloRing(3, Point.ONE), table)
     assert at_one._product(((1, 2),)).ring == CycloRing(3, Point.ONE)
     # y^2 and y^3, y_0 and y_0 y^2 for each seed at eps, and y^2 at 1
@@ -484,14 +500,16 @@ def _reversed_eps_shift(monkeypatch):
     monkeypatch.setattr(CycloInt, "eps_shift", lambda c, k: shift(c, -k))
 
 
-def _suffix_twist_without_cross_term(monkeypatch):
-    split = SkewForm.suffix_twist
+def _a3_block() -> int:
+    """Where the exchangeable block of the A3 seeds ends."""
+    return max(cell_seed("A3", A3_WORD).btilde.cols) + 1
 
-    def dropped(form, s):
-        twist_s, w = split(form, s)
-        return twist_s, (0,) * len(w)
 
-    monkeypatch.setattr(SkewForm, "suffix_twist", dropped)
+def _twist_without_cross_term(monkeypatch):
+    # twist(p + s) read as twist(p + 0) + twist(0 + s), p the block part
+    twist, block = SkewForm.twist, _a3_block()
+    monkeypatch.setattr(SkewForm, "twist", lambda form, a: (
+        twist(form, a[:block]) + twist(form, (0,) * block + tuple(a[block:]))))
 
 
 def _fr_star_times_eps(monkeypatch):
@@ -512,7 +530,7 @@ def _frp_star_negated(monkeypatch):
 
 # a broken primitive that check and check_all call, and whether check must fail
 BROKEN = {"reversed-eps-shift": (_reversed_eps_shift, False),
-          "no-cross-term": (_suffix_twist_without_cross_term, False),
+          "no-cross-term": (_twist_without_cross_term, False),
           "fr-star-times-eps": (_fr_star_times_eps, True),
           "frp-star-negated": (_frp_star_negated, True)}
 
@@ -602,48 +620,47 @@ def _fr_star_extra_term(monkeypatch):
     monkeypatch.setattr(frobsplit, "fr_star", broken)
 
 
+def _changed_tail_at_one(monkeypatch, change):
+    # each nonzero tail part at v = 1 passed through change
+    part = SeedExpander.part
+
+    def changed(expander, start, exponents):
+        got = part(expander, start, exponents)
+        if expander.ring.point is Point.ONE and start == expander.block and any(exponents):
+            return change(got)
+        return got
+
+    monkeypatch.setattr(SeedExpander, "part", changed)
+
+
 def _suffix_moved_at_one(monkeypatch):
-    # the suffix monomial at v = 1 one step along x_1, off from the one at eps
-    suffix_monomial = SeedExpander._suffix_monomial
+    # the tail part at v = 1 one step along x_1, off from the one at eps
+    def moved(tail):
+        (b, c), = tail.terms.items()
+        return TorusElement.monomial(tail.ring, tail.form, (b[0] + 1,) + b[1:], c)
 
-    def moved(expander, suffix):
-        b, *rest = suffix_monomial(expander, suffix)
-        if expander.ring.point is Point.ONE and any(suffix):
-            b = (b[0] + 1,) + b[1:]
-        return (b, *rest)
-
-    monkeypatch.setattr(SeedExpander, "_suffix_monomial", moved)
+    _changed_tail_at_one(monkeypatch, moved)
 
 
 def _suffix_negated_at_one(monkeypatch):
-    # the suffix monomial at v = 1 times -1, against the one at eps
-    suffix_monomial = SeedExpander._suffix_monomial
+    # the tail part at v = 1 times -1, against the one at eps
+    _changed_tail_at_one(monkeypatch, TorusElement.__neg__)
 
-    def negated(expander, suffix):
-        b, c, *rest = suffix_monomial(expander, suffix)
-        if expander.ring.point is Point.ONE and any(suffix):
-            c = -(expander.ring.one() if c is None else c)
-        return (b, c, *rest)
 
-    monkeypatch.setattr(SeedExpander, "_suffix_monomial", negated)
+def _twist_plus_one(monkeypatch, on_tail):
+    # a twist one too large on each vector with a nonzero block part, or
+    # with a nonzero tail part
+    twist, block = SkewForm.twist, _a3_block()
+    monkeypatch.setattr(SkewForm, "twist", lambda form, a: twist(form, a) + any(
+        a[block:] if on_tail else a[:block]))
 
 
 def _prefix_twist_plus_one(monkeypatch):
-    # a twist one too large on each nonzero block prefix
-    twist = SkewForm.twist
-    monkeypatch.setattr(SkewForm, "twist", lambda form, a: twist(form, a) + (
-        0 < len(a) < form.r and any(a)))
+    _twist_plus_one(monkeypatch, False)
 
 
 def _suffix_twist_plus_one(monkeypatch):
-    # twist(0 + s) one too large on each nonzero suffix
-    split = SkewForm.suffix_twist
-
-    def plus_one(form, s):
-        twist_s, w = split(form, s)
-        return twist_s + any(s), w
-
-    monkeypatch.setattr(SkewForm, "suffix_twist", plus_one)
+    _twist_plus_one(monkeypatch, True)
 
 
 # breaks that the pushforward comparison sees on some vectors and not others
@@ -657,8 +674,8 @@ PUSHED_BREAKS = {"times-eps": _fr_star_times_eps, "extra-term": _fr_star_extra_t
 @pytest.mark.parametrize("name", list(PUSHED_BREAKS))
 def test_check_all_stops_at_a_failure_mid_batch(name, monkeypatch):
     # the batch passes a run of vectors, fails at one, and leaves the rest
-    PUSHED_BREAKS[name](monkeypatch)
     seed = _depth_one("A3", A3_WORD)[1]
+    PUSHED_BREAKS[name](monkeypatch)
     vectors = sorted(_box(seed.rank, 2, 3), key=sum)
     out = TheoremSession(seed, 3).check_all(vectors)
     assert out == _check_each(TheoremSession(seed, 3), vectors)
@@ -681,7 +698,7 @@ def _zero_at_three(expander, prefix, product):
     return product
 
 
-# a change to the block products at eps that only the splitting sees, and
+# a change to the block parts at eps that only the splitting sees, and
 # the batch it must fail on at l = 3: a term kept where 3 does not divide a,
 # or no term kept where it does
 SPLIT_ONLY = {"kept-term": (_term_at_three, lambda r: _box(r, 1, 3)),
@@ -691,47 +708,46 @@ SPLIT_ONLY = {"kept-term": (_term_at_three, lambda r: _box(r, 1, 3)),
 @pytest.mark.parametrize("name", list(SPLIT_ONLY))
 def test_check_all_compares_the_splitting_where_the_loop_does(name, monkeypatch):
     change, batch = SPLIT_ONLY[name]
-    block_product = SeedExpander._block_product
+    part = SeedExpander.part
 
-    def changed(expander, prefix):
-        product, twist = block_product(expander, prefix)
-        if expander.ring.point is Point.EPS:
-            product = change(expander, prefix, product)
-        return product, twist
+    def changed(expander, start, exponents):
+        product = part(expander, start, exponents)
+        if expander.ring.point is Point.EPS and start == 0:
+            product = change(expander, exponents, product)
+        return product
 
-    monkeypatch.setattr(SeedExpander, "_block_product", changed)
+    monkeypatch.setattr(SeedExpander, "part", changed)
     seeds = _depth_one("A3", A3_WORD)
     failed = _compare_batches(seeds, (3,), lambda seed, l: batch(seed.rank))
     assert failed == len(seeds)
 
 
 class _Stub:
-    """An expander for check_all's line-ups that ignores its argument except
-    where a suffix is given: its block products have the terms given, so
-    with fr_star the identity every prefix lines up."""
+    """An expander for check_all's line-ups whose block parts all have the
+    terms given, so with fr_star the identity every block part lines up,
+    and whose tail parts are the terms given for each."""
 
-    def __init__(self, size, terms, suffixes):
-        self._block, self.size, self.terms, self.suffixes = size - 1, size, terms, suffixes
+    def __init__(self, size, terms, tails):
+        self.block, self.size, self.terms, self.tails = size - 1, size, terms, tails
 
-    def _block_product(self, prefix):
-        return types.SimpleNamespace(terms=self.terms), 0
-
-    def _suffix_monomial(self, suffix):
-        return self.suffixes[suffix]
+    def part(self, start, exponents):
+        # an empty exponent tuple is the block part of a one-entry vector
+        tail = start == self.block and exponents
+        return types.SimpleNamespace(terms=self.tails[exponents] if tail else self.terms)
 
 
 def _residue_session(l, exponents, b) -> TheoremSession:
-    """A session at l whose block products at eps have the given term
-    exponents and whose suffix (1,) has the monomial x^b at eps, lined up
+    """A session at l, on a zero form, whose block parts at eps have the
+    given term exponents and whose tail part (1,) is x^b at eps, lined up
     with x^0 at 1; check(a) records a and passes.  The caller makes fr_star
     the identity."""
     r = len(b)
     terms = dict.fromkeys(exponents, 1)
-    zero = ((0,) * r, None, None, 0, ())
+    zero = {(0,) * r: 1}
     session = TheoremSession.__new__(TheoremSession)
-    session.l = l
+    session.l, session.seed = l, types.SimpleNamespace(lam=SkewForm([[0] * r] * r))
     session.at_one = _Stub(r, terms, {(1,): zero})
-    session.at_eps = _Stub(r, terms, {(1,): (b, None, None, 0, ()), (l,): zero})
+    session.at_eps = _Stub(r, terms, {(1,): {b: 1}, (l,): zero})
     session.fallbacks = []
     session.check = lambda a: session.fallbacks.append(a) or CheckOutcome(True, 2)
     return session
@@ -740,7 +756,7 @@ def _residue_session(l, exponents, b) -> TheoremSession:
 @pytest.mark.parametrize("l", [3, 5, 9, 15])
 def test_residue_test_matches_the_exponent_loop(l, monkeypatch):
     # check_all passes a vector l does not divide exactly when no term
-    # exponent q of its prefix's product at eps has l | q + b, the loop it
+    # exponent q of its block part at eps has l | q + b, the loop it
     # replaced; q and b take negative entries and every residue class
     monkeypatch.setattr(frobsplit, "fr_star", lambda f: f)
     rng = random.Random(f"residues:{l}")
@@ -766,12 +782,15 @@ def test_residue_test_matches_the_exponent_loop(l, monkeypatch):
 
 @pytest.mark.parametrize("as_list", [False, True])
 def test_check_all_raises_what_check_raises(as_list):
-    # a bad vector after passing ones, some of them with its prefix or suffix
+    # a bad vector after passing ones, some of them with its block or tail
+    # part, or with a part equal to an integral one
     seed = _depth_one("A3", A3_WORD)[1]
     session = TheoremSession(seed, 3)
     good = [(1, 1, 0, 2, 1, 1), (1, 1, 0, 1, 2, 2), (2, 0, 1, 1, 1, 1)]
     bad = [(1, 1, 0, 1, 1, -1), (-1, 1, 0, 1, 1, 1), (1, 1, 0, 1, 1),
-           (1, 1, 0, 2, 1, 1, 0), (1, 1, -1, 1, 1), ()]
+           (1, 1, 0, 2, 1, 1, 0), (1, 1, -1, 1, 1), (),
+           (1, 1, 0, 2, 1, 1.5), (1.7, 1, 0, 2, 1, 1), (1.0, 1.0, 0.0, 2, 1, 0.5),
+           (2.5, 1), (1, 1, 0, 2, 1, 1.0, 0.5)]
     for vector in bad:
         vectors = [list(v) if as_list else v for v in good + [vector]]
         assert session.check_all(vectors[:-1]).passed
@@ -801,12 +820,17 @@ def test_modp_division_explicit_values():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_modp_division_matches_the_whole_split(p):
-    # check_modp_division against the split of the whole expansion over the
-    # untwisted F_p, on the A3 box and on p times its 0-1 corner
+    # check_modp_division against an oracle that never uses SeedExpander:
+    # the split of x^a expanded over Z[v, v^-1] and mapped to F_p, against
+    # x^{a/p} mapped the same way, or zero, on the A3 0-1 box and p times it
+    field = PrimeField(p)
     for seed in _depth_one("A3", A3_WORD):
-        expander = SeedExpander(seed, PrimeField(p))
-        for a in _box(6, 3, p):
-            split = modp_split(expander.monomial(a))
+        expander = SeedExpander(seed, field)
+        for a in _box(6, 1, p):
+            split = modp_split(to_ring(cluster_monomial(seed, a), field))
+            if any(x % p for x in a):
+                want = TorusElement.zero(field, split.form)
+            else:
+                want = to_ring(cluster_monomial(seed, tuple(x // p for x in a)), field)
             got = check_modp_division(expander, a)
-            want = _split_mismatch(split, expander, a, p)
-            assert (got.passed, got.checked, got.witness) == (want is None, 1, want), a
+            assert (got.passed, got.checked) == (split == want, 1), (a, got.witness)

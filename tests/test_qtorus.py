@@ -304,15 +304,3 @@ def test_v_shift_matches_fused_product(l):
                 else:
                     assert got == c * IntLaurent({k: 1})
 
-
-def test_suffix_twist_splits_the_twist():
-    rng = random.Random(41)
-    for _ in range(200):
-        form = rand_skew(rng, rng.randrange(1, 8))
-        a = tuple(rng.randrange(-3, 4) for _ in range(form.r))
-        for k in range(form.r + 1):
-            prefix, suffix = a[:k], a[k:]
-            twist_s, w = form.suffix_twist(suffix)
-            assert len(w) == k
-            assert form.twist(prefix) + twist_s + sum(
-                x * y for x, y in zip(prefix, w)) == form.twist(a)
