@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import mul
 
 from .qtorus import LaurentRing, SkewForm, TorusElement, exact_right_divide, normal_product
-from .rootdatum import CartanData, frozen_split, is_reduced, NonReducedWordError
+from .rootdatum import CartanData, frozen_split, int_vector, is_reduced, NonReducedWordError
 
 
 class NotCompatibleError(ValueError):
@@ -37,8 +37,8 @@ class ExchangeMatrix:
     __slots__ = ("rows", "cols", "nrows")
 
     def __init__(self, rows, cols):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        self.cols = tuple(int(c) for c in cols)
+        self.rows = tuple(map(int_vector, rows))
+        self.cols = int_vector(cols)
         self.nrows = len(self.rows)
         m = len(self.cols)
         if any(len(row) != m for row in self.rows):

@@ -258,10 +258,6 @@ class CycloInt:
     def from_int(cls, l: int, n: int) -> "CycloInt":
         return cls(l, [n])
 
-    @classmethod
-    def eps_power(cls, l: int, k: int) -> "CycloInt":
-        return cls(l, [0] * (k % l) + [1])
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

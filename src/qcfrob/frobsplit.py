@@ -15,8 +15,8 @@ import math
 from operator import add, mul
 
 from .coeff import CycloInt, IntLaurent, Point
-from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement, int_vector
-from .rootdatum import is_reduced
+from .qtorus import CycloRing, PrimeField, SkewForm, TorusElement
+from .rootdatum import int_vector, is_reduced
 from .uqn import CheckOutcome
 
 
@@ -199,7 +199,8 @@ class SeedExpander:
 
     def part(self, start: int, exponents: tuple) -> TorusElement:
         """The ordered product of y_t^{e_t} over t = start, start + 1, ...,
-        e_t the exponents in turn."""
+        e_t the exponents in turn.  A negative e_t raises ValueError from
+        the power, so no part or product with one is ever stored."""
         got = self._parts.get((start, exponents))
         if got is None:
             got = self._parts[start, exponents] = self._product(
@@ -287,9 +288,6 @@ class TheoremSession:
     def check(self, a) -> CheckOutcome:
         l = self.l
         a = int_vector(a)
-        if any(x < 0 for x in a):
-            raise ValueError("cluster monomial exponents must be nonnegative")
-
         pushed = fr_star(self.at_one.monomial(a))
         scaled = self.at_eps.monomial(tuple([l * x for x in a]))
         if pushed != scaled:
@@ -321,10 +319,11 @@ class TheoremSession:
         parts both line up, that l does not divide (l does not divide both
         p and s), and whose -b mod l is none of the residues mod l of the
         exponents of part(0, p) at eps passes with no expansion built.  The
-        int conversion, the negativity test, the line-ups, divisibility and
-        residues are worked out once per block part and once per tail part.
-        Every other vector, or one of the wrong length, goes through
-        check(a), the only code that builds witnesses."""
+        int conversion, the line-ups, divisibility and residues are worked
+        out once per block part and once per tail part; a negative entry
+        raises from part, in a line-up or in check.  Every other vector, or
+        one of the wrong length, goes through check(a), the only code that
+        builds witnesses."""
         block, size = self.at_one.block, self.at_one.size
         heads: dict = {}
         tails: dict = {}
@@ -336,8 +335,6 @@ class TheoremSession:
                 p, s = heads.get(head), tails.get(tail)
                 if p is None or s is None:
                     ints = int_vector(a)
-                    if min(ints, default=0) < 0:
-                        raise ValueError("cluster monomial exponents must be nonnegative")
                     if p is None:
                         p = heads[head] = self._lined_up(0, ints[:block], 1)
                     if s is None:

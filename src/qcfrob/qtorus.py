@@ -13,16 +13,16 @@ import math
 from operator import add, mul
 
 from .coeff import CycloInt, ExactDivisionError, IntLaurent, Point, specialize
+from .rootdatum import int_vector
 
 
 # -- coefficient ring adapters --------------------------------------------
 #
-# A ring adapter has six operations, so torus code stays generic: one(),
+# A ring adapter has five operations, so torus code stays generic: one(),
 # from_laurent(c), the ring map from Z[v, v^-1] (constants are its images),
 # the fused product mul_v(a, b, k) = a b v^k, the unit shift
-# v_shift(c, k) = c v^k (so v^k itself is v_shift(one(), k)), canon(terms),
-# the canonical form of a term dict, and inv_unit(c), the inverse of a unit,
-# needed only for negative powers of frozen variables.
+# v_shift(c, k) = c v^k (so v^k itself is v_shift(one(), k)), and
+# canon(terms), the canonical form of a term dict.
 # Coefficients test zero by truthiness; only IntLaurent divides exactly.
 
 class LaurentRing:
@@ -42,13 +42,6 @@ class LaurentRing:
 
     def from_laurent(self, c):
         return c
-
-    def inv_unit(self, c):
-        if len(c.terms) == 1:
-            (e, coeff), = c.terms.items()
-            if coeff in (1, -1):
-                return IntLaurent({-e: coeff})
-        raise ExactDivisionError(f"{c!r} is not a unit monomial in v")
 
     def __eq__(self, other):
         return type(other) is LaurentRing
@@ -87,16 +80,6 @@ class CycloRing:
     def from_laurent(self, c):
         return specialize(c, self.l, self.point)
 
-    def inv_unit(self, c):
-        # only the monomial units +-eps^j ever need inverting here
-        for j in range(self.l):
-            p = CycloInt.eps_power(self.l, j)
-            if c == p:
-                return CycloInt.eps_power(self.l, (self.l - j) % self.l)
-            if c == -p:
-                return -CycloInt.eps_power(self.l, (self.l - j) % self.l)
-        raise ExactDivisionError("not a recognized cyclotomic unit")
-
     def __eq__(self, other):
         return type(other) is CycloRing and (self.l, self.point) == (other.l, other.point)
 
@@ -132,9 +115,6 @@ class PrimeField:
     def from_laurent(self, c):
         return c.at_one() % self.p
 
-    def inv_unit(self, c):
-        return pow(c, -1, self.p)
-
     def __eq__(self, other):
         return type(other) is PrimeField and self.p == other.p
 
@@ -150,7 +130,7 @@ class SkewForm:
     __slots__ = ("mat", "r")
 
     def __init__(self, mat):
-        m = tuple(tuple(int(x) for x in row) for row in mat)
+        m = tuple(map(int_vector, mat))
         r = len(m)
         if any(len(row) != r for row in m):
             raise ValueError("form matrix must be square")
@@ -185,15 +165,6 @@ class SkewForm:
 
 
 # -- torus elements --------------------------------------------------------
-
-def int_vector(a) -> tuple:
-    """a as a tuple of ints; ValueError when an entry is not integral."""
-    a = tuple(a)
-    out = tuple(map(int, a))
-    if out != a:
-        raise ValueError("exponents must be integers")
-    return out
-
 
 class TorusElement:
     """Finite sum of monomials c_a x^a over a fixed ring and skew form."""
@@ -274,7 +245,7 @@ class TorusElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inv_monomial() ** (-n)
+            raise ValueError("exponents must be nonnegative")
         result = TorusElement.one(self.ring, self.form)
         base = self
         while n:
@@ -284,14 +255,6 @@ class TorusElement:
                 base = base * base
             n >>= 1
         return result
-
-    def inv_monomial(self):
-        """Inverse of a single monomial c x^a; (c x^a)(c^-1 x^-a) = 1 since L(a,a) = 0."""
-        if len(self.terms) != 1:
-            raise ExactDivisionError("only monomials can be inverted")
-        (a, c), = self.terms.items()
-        inv = self.ring.inv_unit(c)
-        return TorusElement(self.ring, self.form, {tuple(-x for x in a): inv})
 
     def coeff(self, a):
         """The coefficient of x^a; the integer 0 off the support."""

@@ -14,6 +14,15 @@ from functools import reduce
 from math import gcd
 
 
+def int_vector(a) -> tuple:
+    """a as a tuple of ints; ValueError when an entry is not integral."""
+    a = tuple(a)
+    out = tuple(map(int, a))
+    if out != a:
+        raise ValueError("entries must be integers")
+    return out
+
+
 class NonReducedWordError(ValueError):
     """A word failed the positivity test on its root sequence."""
 
@@ -78,8 +87,8 @@ class CartanData:
     __slots__ = ("matrix", "sym", "n", "_inv")
 
     def __init__(self, matrix, symmetrizers):
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
-        sym = tuple(int(x) for x in symmetrizers)
+        mat = tuple(map(int_vector, matrix))
+        sym = int_vector(symmetrizers)
         n = len(mat)
         if any(len(row) != n for row in mat) or len(sym) != n:
             raise ValueError("Cartan matrix and symmetrizers have mismatched sizes")
@@ -219,7 +228,7 @@ def cartan_preset(name: str) -> CartanData:
 # -- word combinatorics ----------------------------------------------------
 
 def _validate_letters(datum: CartanData, word) -> tuple[int, ...]:
-    word = tuple(int(i) for i in word)
+    word = int_vector(word)
     for i in word:
         if not 0 <= i < datum.n:
             raise ValueError(f"letter {i} outside index set 0..{datum.n - 1}")

@@ -1,8 +1,10 @@
-"""Shared seed fixtures: the standard words and their computed commutation forms."""
+"""Shared fixtures: the standard words, their computed commutation forms, and
+powers of eps."""
 
 from functools import lru_cache
 
 from qcfrob.cluster import mutate_seed, seed_from_word
+from qcfrob.coeff import CycloInt
 from qcfrob.qtorus import SkewForm
 from qcfrob.rootdatum import cartan_preset
 from qcfrob.uqn import commutation_matrix
@@ -23,3 +25,7 @@ def cell_seed(preset: str, word, mutations=()):
     for pos in mutations:
         seed = mutate_seed(seed, pos)
     return seed
+
+
+def eps_power(l: int, k: int) -> CycloInt:
+    return CycloInt(l, [0] * (k % l) + [1])

@@ -88,7 +88,6 @@ FAILURE = "failure or witness path"
 REPR = "__repr__"
 CLI = "CLI entry"
 BENCH = "perfbench import"
-FROZEN = "negative frozen exponents"
 MODP = "ROADMAP item 5 (check_modp_division)"
 CONTRACT = "ring adapter protocol, or __hash__ beside __eq__"
 TESTS = "tests only (ROADMAP item 6)"
@@ -102,10 +101,9 @@ UNREACHED = {
     "cluster.ExchangeMatrix.__repr__": REPR,
     "cluster.QuantumSeed.__repr__": REPR,
     "cluster.cluster_monomial": BENCH,
-    "coeff.CycloInt.__neg__": FROZEN,
+    "coeff.CycloInt.__neg__": TESTS,
     "coeff.CycloInt.__repr__": REPR,
     "coeff.CycloInt.__sub__": TESTS,
-    "coeff.CycloInt.eps_power": FROZEN,
     "coeff.ExactDivisionError.__init__": FAILURE,
     "coeff.IntLaurent.__repr__": REPR,
     "coeff.IntLaurent.content": BENCH,
@@ -134,19 +132,15 @@ UNREACHED = {
     "frobsplit._first_difference": FAILURE,
     "frobsplit.check_modp_division": MODP,
     "frobsplit.spec_torus": BENCH,
-    "qtorus.CycloRing.inv_unit": FROZEN,
     "qtorus.LaurentRing.__hash__": CONTRACT,
     "qtorus.LaurentRing.from_laurent": CONTRACT,
-    "qtorus.LaurentRing.inv_unit": FROZEN,
     "qtorus.PrimeField.__hash__": MODP,
-    "qtorus.PrimeField.inv_unit": FROZEN,
     "qtorus.PrimeField.v_shift": MODP,
     "qtorus.SkewForm.__repr__": REPR,
     "qtorus.TorusElement.__neg__": TESTS,
     "qtorus.TorusElement.__repr__": REPR,
     "qtorus.TorusElement.__sub__": TESTS,
     "qtorus.TorusElement.coeff": FAILURE,
-    "qtorus.TorusElement.inv_monomial": FROZEN,
     "rootdatum.CartanData.__hash__": CONTRACT,
     "rootdatum.CartanData.__repr__": REPR,
     "rootdatum._Coords.__repr__": REPR,

@@ -16,10 +16,11 @@ from qcfrob.cli import (KNOWN_CHECKS, Campaign, CampaignError, emit,
                         enumerate_mutation_sequences, main,
                         mutation_sequence_count, run)
 from qcfrob.cluster import mutate_seed, seed_from_word
-from qcfrob.coeff import CycloInt, ExactDivisionError, qint
+from qcfrob.coeff import ExactDivisionError, qint
 from qcfrob.frobsplit import ProductTable, SeedExpander, TheoremSession
 from qcfrob.qtorus import CycloRing, LaurentRing, SkewForm, TorusElement
 from qcfrob.uqn import CheckOutcome
+from _seeds import eps_power
 from test_frobsplit import BROKEN, PUSHED_BREAKS
 
 # --format json --deterministic reports, kept byte for byte so a refactor
@@ -28,7 +29,12 @@ from test_frobsplit import BROKEN, PUSHED_BREAKS
 # test_revisited_seeds_golden (golden_configs names each one's config).
 # Regenerate them only with a change meant to alter reports.
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-CAMPAIGNS = pathlib.Path(__file__).parent.parent / "campaigns"
+ROOT = pathlib.Path(__file__).parent.parent
+CAMPAIGNS = ROOT / "campaigns"
+# the environment for a launched interpreter: this checkout's src first on
+# PYTHONPATH, so it imports the code under test whether or not qcfrob is installed
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def a2_doc(**overrides):
@@ -854,7 +860,7 @@ def _rewrite_term(f: TorusElement, pick, change) -> TorusElement:
 def _fr_star_top_times_eps(monkeypatch):
     push = frobsplit.fr_star
     monkeypatch.setattr(frobsplit, "fr_star", lambda f: _rewrite_term(
-        push(f), max, lambda c, ring: c * CycloInt.eps_power(ring.l, 1)))
+        push(f), max, lambda c, ring: c * eps_power(ring.l, 1)))
 
 
 def _frp_star_lowest_negated(monkeypatch):
@@ -912,7 +918,7 @@ def test_theorem_fail_record(tmp_path, capsys, monkeypatch, branch):
 def _workload_config(name: str) -> dict:
     """The benchmark's config of a workload at seed 1."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py")
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module         # its dataclasses look their module up
     try:
@@ -1098,13 +1104,10 @@ def test_traced_fallback_is_the_zero_vector(monkeypatch):
 def test_benchmark_traced_counts_match_pinned(tmp_path):
     # the benchmark's own traced run of the same config reads the same
     # counts, so its rows and the pinned literals cannot drift apart
-    root = pathlib.Path(__file__).parent.parent
     path = write_config(tmp_path, TRACED)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), "run",
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "run",
                            path, str(tmp_path / "spans.tsv")],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=SRC_ENV, check=True)
     out = json.loads(proc.stdout)
     traced = {name: value for name, value in out["counts"].items()
               if name.startswith(("frobsplit.monomial.", "qtorus.mul."))}
@@ -1239,7 +1242,7 @@ def test_closed_pipe_exit_status(tmp_path, extra):
     try:
         proc = subprocess.run([sys.executable, "-m", "qcfrob.cli", "--config", path,
                                "--format", "json", *extra],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=SRC_ENV)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -1249,6 +1252,6 @@ def test_console_script_runs(tmp_path):
     path = write_config(tmp_path, a2_doc(checks=["LAMBDA"]))
     proc = subprocess.run([sys.executable, "-m", "qcfrob.cli",
                            "--config", path, "--format", "text"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert "lambda-oracle" in proc.stdout

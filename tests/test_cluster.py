@@ -85,6 +85,12 @@ def test_exchange_matrix_accessors():
         bt.column(3)  # frozen position
     # the square block on the exchangeable rows
     assert tuple(bt.rows[p] for p in bt.cols) == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
+    # an entry int() would truncate is an error, in the matrix, its columns
+    # or a raw commutation form
+    for bad in (lambda: ExchangeMatrix([[0.9]], [0]), lambda: ExchangeMatrix([[0]], [0.5]),
+                lambda: seed_from_word(A2, (0, 1, 0), [[x / 2 for x in row] for row in A2_LAMBDA])):
+        with pytest.raises(ValueError, match="must be integers"):
+            bad()
 
 
 def test_mutate_pair_matches_classical_formula():
@@ -240,7 +246,7 @@ def test_cluster_monomial_square_after_mutation():
 
 def test_cluster_monomial_on_initial_seed_is_basis_monomial():
     seed = seed_from_word(A2, (0, 1, 0), A2_LAMBDA)
-    for a in [(1, 0, 0), (2, 1, 0), (1, -1, 2), (0, 3, -2)]:
+    for a in [(1, 0, 0), (2, 1, 0), (1, 1, 2), (0, 3, 2)]:
         assert cluster_monomial(seed, a) == TorusElement.monomial(LR, seed.lam, a)
 
 

@@ -32,7 +32,7 @@ from qcfrob.rootdatum import beta_sequence, cartan_preset
 from qcfrob.uqn import CheckOutcome
 
 from _classical import classical_mutate_vars
-from _seeds import A2_WORD, A3_WORD, B2_WORD, cell_form, cell_seed
+from _seeds import A2_WORD, A3_WORD, B2_WORD, cell_form, cell_seed, eps_power
 
 LR = LaurentRing()
 A2 = cartan_preset("A2")
@@ -66,7 +66,7 @@ def test_spec_torus_constants_and_eps_powers():
     # v x^(1,1) at eps, l=3: v goes to eps^2
     f = TorusElement.monomial(LR, form, (1, 1), IntLaurent({1: 1}))
     got = spec_torus(f, 3, Point.EPS)
-    assert got.coeff((1, 1)) == CycloInt.eps_power(3, 2)
+    assert got.coeff((1, 1)) == eps_power(3, 2)
 
 
 def test_spec_torus_is_multiplicative():
@@ -262,13 +262,9 @@ def _check_expander(seed, label):
     """SeedExpander.monomial on every ring against cluster_monomial, the
     normal-ordered product over Z[v, v^-1], mapped into the ring."""
     expanders = [SeedExpander(seed, ring) for ring in EXPANDER_RINGS]
-    # exchangeable exponents stay nonnegative; frozen ones, single monomials
-    # under mutation, also go negative
-    exchangeable = set(seed.btilde.cols)
     rng = random.Random(f"expander:{label}")
     vectors = [(0,) * seed.rank] + [
-        tuple(rng.randrange(3) if t in exchangeable else rng.randrange(-2, 3)
-              for t in range(seed.rank)) for _ in range(12)]
+        tuple(rng.randrange(3) for _ in range(seed.rank)) for _ in range(12)]
     for a in vectors:
         exact = cluster_monomial(seed, a)
         for ring, exp in zip(EXPANDER_RINGS, expanders):
@@ -300,13 +296,6 @@ def _scaled_frozen_seed(scale):
     return QuantumSeed(base.datum, base.btilde, base.lam, variables)
 
 
-def test_expander_handles_negative_frozen_exponents():
-    seed = cell_seed("A2", A2_WORD)
-    exp = SeedExpander(seed, CycloRing(3, Point.ONE))
-    got = exp.monomial((0, -2, 1))
-    assert got == spec_torus(cluster_monomial(seed, (0, -2, 1)), 3, Point.ONE)
-
-
 def test_expander_rejects_non_monomial_frozen_product():
     base = cell_seed("A2", A2_WORD)
     variables = list(base.variables)
@@ -317,8 +306,9 @@ def test_expander_rejects_non_monomial_frozen_product():
 
 
 def test_non_integral_exponents_raise():
-    # an entry int() would truncate is an error, not the vector truncated;
-    # check and check_all are covered by test_check_all_raises_what_check_raises
+    # an entry int() would truncate is an error, not the vector truncated,
+    # and so is a negative entry, in the block or in the frozen tail; check
+    # and check_all are covered by test_check_all_raises_what_check_raises
     seed = cell_seed("A3", A3_WORD, (0,))
     field = PrimeField(3)
     calls = [lambda: SeedExpander(seed, field).monomial((True, 0.9, 0, 0, 0, 0)),
@@ -328,6 +318,12 @@ def test_non_integral_exponents_raise():
     for call in calls:
         with pytest.raises(ValueError, match="must be integers"):
             call()
+    for a in [(0, -1, 0, 0, 0, 0), (0, 0, 0, 0, -1, 0)]:
+        for call in (lambda: SeedExpander(seed, field).monomial(a),
+                     lambda: check_modp_division(SeedExpander(seed, field), a),
+                     lambda: cluster_monomial(seed, a)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                call()
     session = TheoremSession(seed, 3)
     assert session.check((1.0, 0, 2, 0, 0, 0)) == session.check((1, 0, 2, 0, 0, 0))
 
@@ -517,7 +513,7 @@ def _fr_star_times_eps(monkeypatch):
 
     def broken(f):
         out = push(f)
-        return out.scale(CycloInt.eps_power(out.ring.l, 1)) if len(out.terms) > 1 else out
+        return out.scale(eps_power(out.ring.l, 1)) if len(out.terms) > 1 else out
 
     monkeypatch.setattr(frobsplit, "fr_star", broken)
 

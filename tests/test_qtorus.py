@@ -17,6 +17,8 @@ from qcfrob.qtorus import (
     normal_product,
 )
 
+from _seeds import eps_power
+
 LR = LaurentRing()
 
 
@@ -55,6 +57,11 @@ def test_skew_form_validation():
         SkewForm([[1, 2], [-2, 1]])
     with pytest.raises(ValueError):
         SkewForm([[0, 1]])
+    # an entry int() would truncate is an error, not the entry truncated
+    for mat in ([[0, 1.9], [-1.9, 0]], [[0, 0.5], [-0.5, 0]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            SkewForm(mat)
+    assert SkewForm([[0, 1.0], [-1.0, 0]]) == SkewForm([[0, 1], [-1, 0]])
 
 
 def test_monomial_multiplication_rule():
@@ -76,19 +83,6 @@ def test_associativity_and_distributivity_random():
         assert a * (b + c) == a * b + a * c
 
 
-def test_monomial_inverse():
-    rng = random.Random(19)
-    for _ in range(30):
-        form = rand_skew(rng, 3)
-        a = tuple(rng.randrange(-2, 3) for _ in range(3))
-        m = TorusElement.monomial(LR, form, a, IntLaurent({rng.randrange(-3, 4): 1}))
-        assert m * m.inv_monomial() == TorusElement.one(LR, form)
-        assert m ** -2 == (m.inv_monomial()) ** 2
-    two = TorusElement.monomial(LR, SkewForm([[0]]), (1,), IntLaurent.from_int(2))
-    with pytest.raises(Exception):
-        two.inv_monomial()
-
-
 def test_normal_product_reproduces_monomials():
     # v^{twist(a)} x_1^{a_1} ... x_r^{a_r} is exactly the basis monomial x^a
     rng = random.Random(3)
@@ -96,7 +90,7 @@ def test_normal_product_reproduces_monomials():
         form = rand_skew(rng, 4)
         gens = [TorusElement.monomial(LR, form, tuple(int(i == k) for i in range(4)))
                 for k in range(4)]
-        a = tuple(rng.randrange(-3, 4) for _ in range(4))
+        a = tuple(rng.randrange(4) for _ in range(4))
         assert normal_product(gens, form, a) == TorusElement.monomial(LR, form, a)
 
 
@@ -154,15 +148,15 @@ def test_mixed_torus_arithmetic_rejected():
 def test_cyclo_ring_v_power():
     # v^k is the unit shift of one by k
     r3, r5 = CycloRing(3, Point.EPS), CycloRing(5, Point.ONE)
-    assert r3.v_shift(r3.one(), 2) == CycloInt.eps_power(3, 1)
-    assert r3.v_shift(r3.one(), 1) * r3.v_shift(r3.one(), 1) == CycloInt.eps_power(3, 1)
+    assert r3.v_shift(r3.one(), 2) == eps_power(3, 1)
+    assert r3.v_shift(r3.one(), 1) * r3.v_shift(r3.one(), 1) == eps_power(3, 1)
     assert r5.v_shift(r5.one(), 7) == CycloInt.from_int(5, 1)
     with pytest.raises(ValueError):
         CycloRing(4, Point.EPS)
 
 
-def test_ring_adapters_share_six_operations():
-    ops = {"one", "from_laurent", "mul_v", "v_shift", "canon", "inv_unit"}
+def test_ring_adapters_share_five_operations():
+    ops = {"one", "from_laurent", "mul_v", "v_shift", "canon"}
     for adapter in (LaurentRing, CycloRing, PrimeField):
         assert {name for name in vars(adapter) if not name.startswith("_")} == ops
 
@@ -170,13 +164,9 @@ def test_ring_adapters_share_six_operations():
 def test_prime_field_basics():
     fp = PrimeField(5)
     assert const(fp, 12) == 2
-    assert fp.inv_unit(4) == 4  # 4 * 4 = 16 = 1 mod 5
-    assert fp.inv_unit(2) == 3
     assert fp.v_shift(fp.one(), 9) == 1
     with pytest.raises(ValueError):
         PrimeField(6)
-    with pytest.raises(ValueError):
-        fp.inv_unit(0)
 
 
 def test_power_small_cases():
@@ -187,6 +177,9 @@ def test_power_small_cases():
     assert x ** 3 == x * x * x
     sq = x * x
     assert sq.coeff((1, 1)) == IntLaurent({1: 1, -1: 1})
+    # even a monomial, a unit of the torus, has no negative power
+    with pytest.raises(ValueError, match="nonnegative"):
+        TorusElement.monomial(LR, form, (1, 0)) ** -1
 
 
 CANON_RINGS = {"laurent": LR, "one3": CycloRing(3, Point.ONE), "eps3": CycloRing(3, Point.EPS),
@@ -266,7 +259,7 @@ def _shift_samples(rng, ring):
     if isinstance(ring, CycloRing):
         l, deg = ring.l, len(ring.one().coeffs)
         make = lambda cs: CycloInt(l, cs)
-        single = [CycloInt.eps_power(l, j) * const(ring, n)
+        single = [eps_power(l, j) * const(ring, n)
                   for j in range(l) for n in (1, -3)]
     else:
         make = lambda cs: IntLaurent(dict(enumerate(cs, -2)))
@@ -297,7 +290,7 @@ def test_v_shift_matches_fused_product(l):
                 assert got == ring.mul_v(c, ring.one(), k), (ring, c, k)
                 if isinstance(ring, CycloRing):
                     half = (l + 1) // 2 if ring.point is Point.EPS else 0
-                    assert got == c * CycloInt.eps_power(l, k * half)
+                    assert got == c * eps_power(l, k * half)
                     assert type(got.coeffs) is tuple and len(got.coeffs) == len(c.coeffs)
                 elif isinstance(ring, PrimeField):
                     assert got == c * v_power(ring, k) % ring.p

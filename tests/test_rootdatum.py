@@ -47,6 +47,10 @@ def test_preset_validation_catches_bad_input():
         CartanData([[2, -2], [-1, 2]], [2, 4])  # gcd 2
     with pytest.raises(ValueError):
         CartanData([[2, -1], [-1, 2]], [1, -1])
+    # an entry int() would truncate is an error, not the entry truncated
+    for matrix, sym in [([[2, -1], [-1, 2]], [1, 1.7]), ([[2, -1.5], [-1, 2]], [1, 1])]:
+        with pytest.raises(ValueError, match="must be integers"):
+            CartanData(matrix, sym)
 
 
 def test_beta_sequence_a2():
@@ -158,3 +162,5 @@ def test_word_letter_validation():
         beta_sequence(A2, (0, 2))
     with pytest.raises(ValueError):
         frozen_split(A2, (-1,))
+    with pytest.raises(ValueError, match="must be integers"):
+        beta_sequence(A2, (0, 1.5))
