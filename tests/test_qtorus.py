@@ -74,6 +74,22 @@ def test_monomial_multiplication_rule():
     assert x0 * x1 == (x1 * x0).scale(IntLaurent({6: 1}))
 
 
+def test_monomial_inverse():
+    # v^k x^a times v^-k x^-a is 1 on either side, since form(a, -a) = 0
+    rng = random.Random(19)
+    for _ in range(30):
+        form = rand_skew(rng, 3)
+        a = tuple(rng.randrange(-2, 3) for _ in range(3))
+        k = rng.randrange(-3, 4)
+        m = TorusElement.monomial(LR, form, a, IntLaurent({k: 1}))
+        inv = TorusElement.monomial(LR, form, tuple(-e for e in a), IntLaurent({-k: 1}))
+        assert m * inv == inv * m == TorusElement.one(LR, form)
+        # even a monomial, a unit of the torus, has no negative power
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                m ** n
+
+
 def test_associativity_and_distributivity_random():
     rng = random.Random(7)
     for _ in range(60):
@@ -177,9 +193,6 @@ def test_power_small_cases():
     assert x ** 3 == x * x * x
     sq = x * x
     assert sq.coeff((1, 1)) == IntLaurent({1: 1, -1: 1})
-    # even a monomial, a unit of the torus, has no negative power
-    with pytest.raises(ValueError, match="nonnegative"):
-        TorusElement.monomial(LR, form, (1, 0)) ** -1
 
 
 CANON_RINGS = {"laurent": LR, "one3": CycloRing(3, Point.ONE), "eps3": CycloRing(3, Point.EPS),
