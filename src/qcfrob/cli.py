@@ -142,9 +142,9 @@ def enumerate_mutation_sequences(positions, depth: int):
 
 def _computes_form(checks, lam_config) -> bool:
     """Whether a run computes the commutation form with the minor model: for
-    LAMBDA, and for the seeds and mod-p checks when the config gives none."""
-    return "LAMBDA" in checks or (lam_config is None and bool(
-        {"THEOREM", "SPLIT_AXIOMS", "REDUCTION"} & set(checks)))
+    LAMBDA, and for the seeds when the config gives none.  The mod-p checks
+    run on the commutative F_p torus and read no form."""
+    return "LAMBDA" in checks or (lam_config is None and "THEOREM" in checks)
 
 
 def mutation_sequence_count(k: int, depth: int) -> int:
@@ -413,9 +413,15 @@ def _record(name, params, outcome, millis):
 def _run_tasks(tasks) -> list:
     """Run (name, params, fn, args) checks in order, each timed, and return
     their records; module-level so a process pool can run groups of tasks
-    in parallel."""
+    in parallel.  Its theorem batches share one ProductTable, which dies with
+    the call; a batch that finds it past _PRODUCT_TERMS_CAP gets a new one."""
     records = []
+    products = ProductTable()
     for name, params, fn, args in tasks:
+        if fn is _theorem_batch:
+            if products.terms > _PRODUCT_TERMS_CAP:
+                products = ProductTable()
+            args += (products,)
         t0 = time.perf_counter()
         outcome = fn(*args)
         records.append(_record(name, params, outcome, int((time.perf_counter() - t0) * 1000)))
@@ -447,34 +453,28 @@ def _build_seeds(datum, word, lam: SkewForm, sequences) -> dict:
     return seeds
 
 
-# The SeedExpander product table of this process, shared by every theorem
-# batch it runs and empty outside a run: run empties it when it ends, and a
-# pool worker starts from the empty table it forks or imports.  Products are
-# exact and keyed by their factors, so no report depends on which process
-# ran which batch.
-_PRODUCTS = ProductTable()
-# Terms the table may hold when a batch starts; past it the table is
-# emptied.  Block products range from one term to thousands, so the bound
-# counts terms, not entries.  On a cell of finite cluster type the seeds
-# share their variables and the table levels off: serially, theorem-scatter
-# ends at 26.7k terms (12.6k at l = 3, 14.1k at l = 5, in 2,460 entries)
-# and a3-theorem at 9.1k.  A term took about 330 bytes there (l = 3 and 5,
+# Terms a group's product table may hold when a batch starts; past it the
+# batch gets a fresh table.  Products are exact and keyed by their factors,
+# so no report depends on which group ran which batch.  Block products
+# range from one term to thousands, so the bound counts terms, not
+# entries.  On a cell of finite cluster type the seeds share their
+# variables and the table levels off: serially, theorem-scatter ends at
+# 26.7k terms (12.6k at l = 3, 14.1k at l = 5, in 2,460 entries) and
+# a3-theorem at 9.1k.  A term took about 330 bytes there (l = 3 and 5,
 # traced with tracemalloc), so the bound is about 16 MB; a coefficient has
 # l - 1 entries, so a term costs more at larger l.  On a cell of infinite
 # type each mutation makes new variables, and without the bound every
-# product of every one of them would stay until the run ends.
+# product of every one of them would stay until the group ends.
 _PRODUCT_TERMS_CAP = 50_000
 
 
-def _theorem_batch(seed, l, vectors) -> CheckOutcome:
-    """The theorem at order l for every exponent vector on one seed, or a
-    FAIL carrying the engine error that stands in for the seed."""
+def _theorem_batch(seed, l, vectors, products) -> CheckOutcome:
+    """The theorem at order l for every exponent vector on one seed, over the
+    given product table, or a FAIL with the engine error standing in for it."""
     try:
         if isinstance(seed, Exception):
             raise seed
-        if _PRODUCTS.terms > _PRODUCT_TERMS_CAP:
-            _PRODUCTS.clear()
-        return TheoremSession(seed, l, _PRODUCTS).check_all(vectors)
+        return TheoremSession(seed, l, products).check_all(vectors)
     except _ENGINE_ERRORS as exc:
         return CheckOutcome(False, 0, note=f"engine error: {exc}")
 
@@ -509,8 +509,8 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     checks, datum, word = campaign.checks, campaign.datum, campaign.word
     records = []
     lam = source = None
-    # Resolved in this process before any task is built: every seed and
-    # every mod-p check needs the form.
+    # Resolved in this process before any task is built: every seed needs
+    # the form.
     if _computes_form(checks, campaign.lam_config):
         t0 = time.perf_counter()
         lam, source = SkewForm(commutation_matrix(datum, word)), "computed"
@@ -544,14 +544,13 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     fields, trials = campaign.fields, campaign.trials
     if "SPLIT_AXIOMS" in checks:
         tasks += [("splitting-axioms", {"p": f.p, "trials": trials}, check_split_axioms,
-                   (lam, f, random.Random(f"{campaign.rng_seed}:split:{f.p}"), trials))
+                   (len(word), f, random.Random(f"{campaign.rng_seed}:split:{f.p}"), trials))
                   for f in fields]
     if "REDUCTION" in checks:
         prefix = campaign.reduction_prefix
-        block = SkewForm([row[:prefix] for row in lam.mat[:prefix]])
         tasks += [("splitting-reduction", {"p": f.p, "prefix": prefix, "samples": trials},
                    reduction_commutes,
-                   (datum, word, block, f,
+                   (datum, word, prefix, f,
                     random.Random(f"{campaign.rng_seed}:reduction:{f.p}"), trials))
                   for f in fields]
 
@@ -562,22 +561,19 @@ def run(campaign: Campaign, jobs: int = 1) -> dict:
     owners = [firsts.setdefault(args[:2] if fn is _theorem_batch else i, i)
               for i, (_, _, fn, args) in enumerate(tasks)]
     distinct = [tasks[i] for i in firsts.values()]
-    try:
-        workers = min(jobs, len(distinct), _usable_cpus())
-        # The theorem batches lead the list.  They go as one contiguous run
-        # per worker, in report order, so each worker's product table serves
-        # neighbouring seeds; every other task goes alone.
-        batches, runs = sum(fn is _theorem_batch for _, _, fn, _ in distinct), max(workers, 1)
-        groups = [distinct[batches * k // runs:batches * (k + 1) // runs] for k in range(runs)]
-        groups = [group for group in groups if group] + [[task] for task in distinct[batches:]]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                ran = list(pool.map(_run_tasks, groups))
-        else:
-            ran = list(map(_run_tasks, groups))
-    finally:
-        _PRODUCTS.clear()
+    workers = min(jobs, len(distinct), _usable_cpus())
+    # The theorem batches lead the list.  They go as one contiguous run per
+    # worker, in report order, so each group's product table serves
+    # neighbouring seeds; every other task goes alone.
+    batches, runs = sum(fn is _theorem_batch for _, _, fn, _ in distinct), max(workers, 1)
+    groups = [distinct[batches * k // runs:batches * (k + 1) // runs] for k in range(runs)]
+    groups = [group for group in groups if group] + [[task] for task in distinct[batches:]]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            ran = list(pool.map(_run_tasks, groups))
+    else:
+        ran = list(map(_run_tasks, groups))
     done = dict(zip(firsts.values(), itertools.chain.from_iterable(ran)))
     records += [done[i] if j == i else
                 {**done[j], "params": _jsonable(tasks[i][1]), "millis": 0}

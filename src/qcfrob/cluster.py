@@ -11,7 +11,8 @@ from __future__ import annotations
 from operator import mul
 
 from .qtorus import LaurentRing, SkewForm, TorusElement, exact_right_divide, normal_product
-from .rootdatum import CartanData, frozen_split, int_vector, is_reduced, NonReducedWordError
+from .rootdatum import (CartanData, NonReducedWordError, _validate_letters, frozen_split,
+                        int_vector, is_reduced)
 
 
 class NotCompatibleError(ValueError):
@@ -122,7 +123,7 @@ def btilde_from_word(datum: CartanData, word) -> ExchangeMatrix:
     letter and a Cartan entry (up to sign) for interleaved occurrences of
     distinct letters.
     """
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     if not is_reduced(datum, word):
         raise NonReducedWordError(f"{word} is not reduced")
     r = len(word)
@@ -192,7 +193,7 @@ def seed_from_word(datum: CartanData, word, lam) -> QuantumSeed:
     The pair must be compatible with diagonal entries 2 t_{i_k} at each
     exchangeable position k; anything else gets rejected.
     """
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     btilde = btilde_from_word(datum, word)
     if not isinstance(lam, SkewForm):
         lam = SkewForm(lam)

@@ -94,23 +94,20 @@ def embed_padded(f: TorusElement, wide_form: SkewForm) -> TorusElement:
     return TorusElement(f.ring, wide_form, {a + pad: c for a, c in f.terms.items()})
 
 
-def reduction_commutes(datum, word, block: SkewForm, field: PrimeField, rng,
+def reduction_commutes(datum, word, prefix: int, field: PrimeField, rng,
                        trials: int) -> CheckOutcome:
-    """Splitting on a prefix-word torus agrees with splitting after the
-    zero-padding embedding into the full word's torus, on trials random
-    elements over field drawn from rng over block, the form of the prefix.
+    """Splitting on the torus of the word's first prefix letters agrees with
+    splitting after the zero-padding embedding into the full word's torus,
+    on trials random elements over field drawn from rng.
 
-    The mod-p torus is commutative, so the skew form is carried along for
-    shape only; the embedded form is the zero extension of block.
+    The mod-p torus is commutative, so both tori carry the zero form.
     """
     if not is_reduced(datum, word):
         raise ValueError("word is not reduced")
-    if not 1 <= block.r <= len(word):
+    if not 1 <= prefix <= len(word):
         raise ValueError("prefix length out of range")
     # every prefix of a reduced word is reduced, so the prefix needs no check
-    pad = len(word) - block.r
-    wide_form = SkewForm([row + (0,) * pad for row in block.mat]
-                         + [(0,) * len(word)] * pad)
+    block, wide_form = (SkewForm([[0] * r] * r) for r in (prefix, len(word)))
     for checked in range(1, trials + 1):
         f = random_torus_element(rng, field, block, nterms=5)
         left = embed_padded(modp_split(f), wide_form)
@@ -134,14 +131,11 @@ class ProductTable(dict):
     product is 1.  An entry names the elements multiplied, not a seed: the
     seeds of a cell share most of their cluster variables, and every seed
     of a word shares its frozen ones, which never mutate.  terms counts the
-    terms the entries hold.
+    terms the entries hold.  A table lives as long as its owner: an
+    expander's private one, or the one a group of theorem batches shares.
     """
 
     terms = 0
-
-    def clear(self):
-        super().clear()
-        self.terms = 0
 
 
 class SeedExpander:
@@ -378,38 +372,36 @@ def random_torus_element(rng, ring, form: SkewForm, *, nterms=3):
     """Small random element for property trials: exponents in -2..2,
     coefficients exercising the whole ring (all powers of eps over a
     cyclotomic ring) with integer entries in -4..4."""
-    out = TorusElement.zero(ring, form)
+    terms: dict = {}
     for _ in range(nterms):
         a = tuple(rng.randint(-2, 2) for _ in range(form.r))
         if isinstance(ring, CycloRing):
             c = CycloInt(ring.l, [rng.randint(-4, 4) for _ in range(ring.l - 1)])
         else:
             c = ring.from_laurent(IntLaurent.from_int(rng.randint(-4, 4)))
-        if c:
-            out = out + TorusElement.monomial(ring, form, a, c)
-    return out
+        terms[a] = terms[a] + c if a in terms else c
+    return TorusElement(ring, form, terms)
 
 
-def check_split_axioms(form: SkewForm, field: PrimeField, rng, trials: int) -> CheckOutcome:
-    """The defining identities of a splitting on the torus over field = F_p:
+def check_split_axioms(rank: int, field: PrimeField, rng, trials: int) -> CheckOutcome:
+    """The defining identities of a splitting on the torus of the given rank
+    over field = F_p, which is commutative and so carries the zero form:
     fixes 1, satisfies the projection formula phi(f^p g) = f phi(g), and
     inverts the p-th power map."""
+    form = SkewForm([[0] * rank] * rank)
     one = TorusElement.one(field, form)
-    checked = 0
     if modp_split(one) != one:
         return CheckOutcome(False, 1, witness={"identity": "phi(1) != 1"})
-    checked += 1
-    for _ in range(trials):
+    # each trial checks two identities, after the 1 checked above
+    for checked in range(2, 2 * trials + 2, 2):
         f = random_torus_element(rng, field, form)
         g = random_torus_element(rng, field, form)
         fp = f ** field.p
         if modp_split(fp * g) != f * modp_split(g):
-            return CheckOutcome(False, checked + 1,
+            return CheckOutcome(False, checked,
                                 witness={"identity": "projection formula",
                                          "f": repr(f), "g": repr(g)})
-        checked += 1
         if modp_split(fp) != f:
             return CheckOutcome(False, checked + 1,
                                 witness={"identity": "phi(f^p) != f", "f": repr(f)})
-        checked += 1
-    return CheckOutcome(True, checked)
+    return CheckOutcome(True, 2 * trials + 1)

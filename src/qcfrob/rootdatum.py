@@ -196,7 +196,7 @@ class CartanData:
 
     def apply_word(self, word, lam: Weight) -> Weight:
         """s_{i_1} ... s_{i_r} (lambda), rightmost letter acting first."""
-        for i in reversed(word):
+        for i in reversed(_validate_letters(self, word)):
             lam = self.reflect(i, lam)
         return lam
 
@@ -228,6 +228,8 @@ def cartan_preset(name: str) -> CartanData:
 # -- word combinatorics ----------------------------------------------------
 
 def _validate_letters(datum: CartanData, word) -> tuple[int, ...]:
+    """word as a tuple of int letters; ValueError when a letter is not
+    integral or lies outside 0..n-1."""
     word = int_vector(word)
     for i in word:
         if not 0 <= i < datum.n:

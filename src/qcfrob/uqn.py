@@ -41,7 +41,7 @@ from collections import namedtuple
 from math import comb
 
 from .coeff import ExactDivisionError, IntLaurent, Point, qfactorial, qint, specialize
-from .rootdatum import CartanData, RootVector, Weight
+from .rootdatum import CartanData, RootVector, Weight, _validate_letters
 
 
 class NotQCommutingError(ValueError):
@@ -133,6 +133,7 @@ def extremal_fword(datum: CartanData, hw: Weight, word):
     """
     if not hw.is_dominant:
         raise ValueError("highest weight must be dominant")
+    word = _validate_letters(datum, word)
     running = hw
     exps = [0] * len(word)
     for t in range(len(word) - 1, -1, -1):
@@ -263,7 +264,7 @@ def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Function
     ExactDivisionError with the first such word, in lexicographic order,
     as its witness.
     """
-    prefix = tuple(prefix)
+    prefix = _validate_letters(datum, prefix)
     fword, divisor = extremal_fword(datum, hw, prefix)
     low = datum.apply_word(prefix, hw)
     gamma = datum.weight_to_root(hw - low)
@@ -297,7 +298,7 @@ def quantum_minor(datum: CartanData, hw: Weight, prefix, cache=None) -> Function
 def cell_minors(datum: CartanData, word) -> list:
     """The chain of minors D_t attached to the prefixes of a word, sharing
     one e-action memo."""
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     cache: dict = {}
     return [quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1], cache)
             for t in range(len(word))]
@@ -305,6 +306,7 @@ def cell_minors(datum: CartanData, word) -> list:
 
 def chain_minor_weight(datum: CartanData, word, t: int) -> RootVector:
     """The weight gamma_t = varpi - w_{<=t} varpi of the chain minor D_t."""
+    word = _validate_letters(datum, word)
     hw = datum.fundamental(word[t])
     return datum.weight_to_root(hw - datum.apply_word(word[: t + 1], hw))
 
@@ -317,7 +319,7 @@ def commutation_matrix(datum: CartanData, word) -> tuple:
     sides.  Failure to q-commute by a single even power of v raises
     NotQCommutingError.
     """
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     minors = cell_minors(datum, word)
     r = len(word)
     mat = [[0] * r for _ in range(r)]
@@ -471,7 +473,7 @@ def check_frobenius_on_minor(datum: CartanData, word, t: int, l: int) -> CheckOu
     An inexact minor division fails with the minor's word as witness and
     nothing checked.
     """
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     try:
         minor = quantum_minor(datum, datum.fundamental(word[t]), word[: t + 1])
     except ExactDivisionError as exc:
@@ -508,7 +510,7 @@ def check_minor_power(datum: CartanData, word, t: int, l: int) -> CheckOutcome:
     An inexact minor division fails with the minor's word as witness and
     nothing checked.
     """
-    word = tuple(word)
+    word = _validate_letters(datum, word)
     prefix = word[: t + 1]
     hw = datum.fundamental(word[t])
     cache: dict = {}

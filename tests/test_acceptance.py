@@ -149,7 +149,7 @@ def test_criterion_08_torus_map_properties():
 def test_criterion_09_modp_splitting():
     for p in (3, 5):
         rng = random.Random(f"split-axioms:{p}")
-        out = check_split_axioms(cell_form("A3", A3_WORD), PrimeField(p), rng, trials=1000)
+        out = check_split_axioms(len(A3_WORD), PrimeField(p), rng, trials=1000)
         assert out.passed, out.witness
 
     # degree division over every cluster monomial the theorem grids visit
@@ -162,10 +162,8 @@ def test_criterion_09_modp_splitting():
                 out = check_modp_division(expander, a)
                 assert out.passed, (preset, seq, a, out.witness)
 
-    lam = cell_form("A3", A3_WORD)
-    block = SkewForm([[lam.mat[i][j] for j in range(3)] for i in range(3)])
     rng = random.Random("reduction")
-    out = reduction_commutes(cartan_preset("A3"), A3_WORD, block, PrimeField(3), rng, 200)
+    out = reduction_commutes(cartan_preset("A3"), A3_WORD, 3, PrimeField(3), rng, 200)
     assert out.passed and out.checked == 200
 
 

@@ -1,6 +1,7 @@
 """The package's public names and its runtime dependencies."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import pathlib
@@ -61,6 +62,31 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
+
+
+# Every module-level container or cache in the package, with why it may
+# live as long as the process: each is the same at every point of every
+# run, so no report depends on when or where it was read.
+MODULE_STATE = {
+    "qcfrob.__all__": "the exported names",
+    "qcfrob.rootdatum._PRESETS": "the preset Cartan matrices, never written",
+    "qcfrob.coeff.cyclotomic_coeffs": "Phi_l's coefficients, a constant per order",
+}
+
+
+def test_module_state_pinned():
+    # a process-global table of run state, such as products kept between
+    # runs, shows here; the import system's own names are left out
+    from qcfrob.frobsplit import ProductTable
+    held = set()
+    for path in sorted(SRC.glob("*.py")):
+        name = "qcfrob" if path.stem == "__init__" else f"qcfrob.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if attr.startswith("__") and attr != "__all__":
+                continue
+            if isinstance(value, (dict, list, set, ProductTable)) or hasattr(value, "cache_info"):
+                held.add(f"{name}.{attr}")
+    assert held == set(MODULE_STATE)
 
 
 def _load(name):
@@ -141,6 +167,7 @@ UNREACHED = {
     "qtorus.TorusElement.__repr__": REPR,
     "qtorus.TorusElement.__sub__": TESTS,
     "qtorus.TorusElement.coeff": FAILURE,
+    "qtorus.TorusElement.zero": MODP,
     "rootdatum.CartanData.__hash__": CONTRACT,
     "rootdatum.CartanData.__repr__": REPR,
     "rootdatum._Coords.__repr__": REPR,

@@ -1,5 +1,6 @@
 """Campaign parsing, the batch driver, and report emission."""
 
+import gc
 import importlib.util
 import itertools
 import json
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -151,8 +153,10 @@ def test_campaign_defaults_and_word_conversion():
     (a2_doc(cartan=AFFINE, checks=["BASE_CASE"]), "singular"),
     (a2_doc(cartan=AFFINE, checks=["KKKO"]), "singular"),
     (a2_doc(cartan=AFFINE, checks=["THEOREM"]), "singular"),
-    (a2_doc(cartan=AFFINE, checks=["SPLIT_AXIOMS"]), "singular"),
-    (a2_doc(cartan=AFFINE, checks=["REDUCTION"]), "singular"),
+    # the mod-p checks read no form (see test_form_rule), but lift no
+    # rejection the checks beside them bring
+    (a2_doc(cartan=AFFINE, checks=["THEOREM", "SPLIT_AXIOMS"]), "singular"),
+    (a2_doc(cartan=AFFINE, checks=["BASE_CASE", "REDUCTION"]), "singular"),
     # a minor check past the enumeration cap
     (a2_doc(cartan="A3", word=[1, 2, 1, 3, 2, 1], l_values=[5], checks=["KKKO"]),
      "KKKO at position 5, l = 5 needs 46558512 words"),
@@ -188,7 +192,7 @@ def test_campaign_rejects(doc, fragment):
         Campaign.from_dict(doc)
 
 
-def test_given_form_is_not_charged_without_lambda_check():
+def test_given_form_is_not_charged_without_lambda_check(monkeypatch):
     # commutation_matrix runs only for LAMBDA once a form is given; the
     # charge is checked here, not the form
     doc = a2_doc(cartan=A4, word=A4_W0, checks=["THEOREM"],
@@ -196,6 +200,18 @@ def test_given_form_is_not_charged_without_lambda_check():
     assert Campaign.from_dict(doc).lam_config == SkewForm([[0] * 10] * 10)
     with pytest.raises(CampaignError, match="needs 69980688 splits"):
         Campaign.from_dict({**doc, "checks": ["LAMBDA", "THEOREM"]})
+    # the mod-p checks read no form, so they are not charged one either:
+    # A4's longest word, and G2's, which LAMBDA charges 3,326,542,390 splits
+    def uncalled(datum, word):
+        raise AssertionError("commutation_matrix called")
+
+    monkeypatch.setattr(cli, "commutation_matrix", uncalled)
+    for cartan, word, l_values in ((A4, A4_W0, [3]), ("G2", [1, 2, 1, 2, 1, 2], [5, 7])):
+        c = Campaign.from_dict({"cartan": cartan, "word": word, "l_values": l_values,
+                                "checks": ["SPLIT_AXIOMS", "REDUCTION"], "trials": 20})
+        report = run(c)
+        assert report["meta"]["lambda_source"] == "none"
+        assert [rec["verdict"] for rec in report["checks"]] == ["PASS"] * 2 * len(l_values)
 
 
 def test_charges_under_their_caps_validate():
@@ -223,7 +239,11 @@ A2_LAMBDA = [[0, -1, 1], [1, 0, 0], [-1, 0, 0]]
 
 # LAMBDA listed, lambda given, THEOREM listed -> commutation_matrix calls,
 # meta.lambda_source, and whether the singular affine A1~ matrix is rejected;
-# the lambda-oracle record appears exactly when LAMBDA is listed
+# the lambda-oracle record appears exactly when LAMBDA is listed.  Each row
+# holds with SPLIT_AXIOMS, REDUCTION or both listed too: they run on the
+# commutative F_p torus and read no form, so with neither LAMBDA nor
+# THEOREM no form is computed, lambda_source is none and the affine matrix
+# is accepted
 @pytest.mark.parametrize("lam_check, given, theorem, calls, source, singular", [
     (True, True, True, 1, "config", True),
     (True, True, False, 1, "config", True),
@@ -235,7 +255,6 @@ A2_LAMBDA = [[0, -1, 1], [1, 0, 0], [-1, 0, 0]]
     (False, False, False, 0, "none", False),
 ])
 def test_form_rule(monkeypatch, lam_check, given, theorem, calls, source, singular):
-    checks = ["LAMBDA"] * lam_check + ["THEOREM"] * theorem
     seen = []
     computed = cli.commutation_matrix
 
@@ -245,17 +264,24 @@ def test_form_rule(monkeypatch, lam_check, given, theorem, calls, source, singul
 
     monkeypatch.setattr(cli, "commutation_matrix", counting)
     form = {"lambda": A2_LAMBDA} if given else {}
-    report = run(Campaign.from_dict(a2_doc(checks=checks, **form)))
-    assert len(seen) == calls
-    assert report["meta"]["lambda_source"] == source
-    names = [rec["name"] for rec in report["checks"]]
-    assert ("lambda-oracle" in names) == lam_check
-    affine = a2_doc(cartan=AFFINE, checks=checks, **({"lambda": AFFINE_LAMBDA} if given else {}))
-    if singular:
-        with pytest.raises(CampaignError, match="singular"):
-            Campaign.from_dict(affine)
-    else:
-        Campaign.from_dict(affine)
+    for modp in ([], ["SPLIT_AXIOMS"], ["REDUCTION"], ["SPLIT_AXIOMS", "REDUCTION"]):
+        checks = ["LAMBDA"] * lam_check + ["THEOREM"] * theorem + modp
+        seen.clear()
+        report = run(Campaign.from_dict(a2_doc(checks=checks, trials=5, **form)))
+        assert len(seen) == calls, modp
+        assert report["meta"]["lambda_source"] == source, modp
+        assert (report["meta"]["lambda"] is None) == (source == "none"), modp
+        assert {rec["verdict"] for rec in report["checks"]} <= {"PASS"}, modp
+        names = [rec["name"] for rec in report["checks"]]
+        assert ("lambda-oracle" in names) == lam_check
+        affine = a2_doc(cartan=AFFINE, checks=checks, trials=5,
+                        **({"lambda": AFFINE_LAMBDA} if given else {}))
+        if singular:
+            with pytest.raises(CampaignError, match="singular"):
+                Campaign.from_dict(affine)
+        else:
+            report = run(Campaign.from_dict(affine))
+            assert {rec["verdict"] for rec in report["checks"]} <= {"PASS"}, modp
 
 
 def test_run_empty_campaign():
@@ -417,21 +443,20 @@ def test_one_theorem_batch_per_distinct_seed(monkeypatch, doc, batches):
     calls = []
     batch = cli._theorem_batch
 
-    def counting(seed, l, vectors):
+    def counting(seed, l, vectors, products):
         calls.append(l)
-        return batch(seed, l, vectors)
+        return batch(seed, l, vectors, products)
 
     monkeypatch.setattr(cli, "_theorem_batch", counting)
     report = run(c)
     assert len(calls) == batches
     assert emit(report, "json", deterministic=True) == pooled
-    monkeypatch.setattr(cli, "_PRODUCTS", ProductTable())
     lam = SkewForm(report["meta"]["lambda"])
     for rec in report["checks"]:
         seed = seed_from_word(c.datum, c.word, lam)
         for pos in rec["params"]["mutations"]:
             seed = mutate_seed(seed, pos - 1)
-        outcome = batch(seed, rec["params"]["l"], c.vectors)
+        outcome = batch(seed, rec["params"]["l"], c.vectors, ProductTable())
         assert {**rec, "millis": 0} == cli._record("theorem", rec["params"], outcome, 0)
 
 
@@ -525,7 +550,8 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
     # than the CPUs this process may use; the stub pool starts no process
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_theorem_batch", lambda seed, l, vectors: CheckOutcome(True, 0))
+    monkeypatch.setattr(cli, "_theorem_batch",
+                        lambda seed, l, vectors, products: CheckOutcome(True, 0))
     c = Campaign.from_dict(a2_doc(checks=["THEOREM"], l_values=list(range(3, 2003, 2))))
     assert len(c.l_values) * len(c.sequences) == 2000
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
@@ -581,22 +607,43 @@ def test_goldens_at_three_jobs(tmp_path, capsys, monkeypatch):
 
 
 def test_pool_workers_start_with_a_power_table(monkeypatch):
+    # on a pool each theorem group gets a table of its own, empty when its
+    # first batch starts and handed to every batch of the group; a worker
+    # needs no initializer
     monkeypatch.setattr(RecordingPool, "initializers", [])
+    monkeypatch.setattr(RecordingPool, "items", [])
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    # a worker starts from the empty table it forks or imports
-    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
-    run(Campaign.from_dict(a2_doc(checks=["THEOREM"])), jobs=2)
-    assert RecordingPool.initializers == [None]
-    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
-
-
-def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     seen = []
     batch = cli._theorem_batch
 
-    def recording(seed, l, vectors):
-        out = batch(seed, l, vectors)
-        seen.append((cli._PRODUCTS, cli._PRODUCTS.terms))
+    def recording(seed, l, vectors, products):
+        seen.append((products, products.terms))
+        return batch(seed, l, vectors, products)
+
+    monkeypatch.setattr(cli, "_theorem_batch", recording)
+    c = Campaign.from_dict({**B2_DEPTH3, "checks": ["THEOREM", "SPLIT_AXIOMS"], "trials": 5})
+    run(c, jobs=3)
+    assert RecordingPool.initializers == [None]
+    sizes = [len(group) for group in RecordingPool.items if group[0][0] == "theorem"]
+    assert sizes == [4, 4, 4] and len(seen) == 12
+    firsts = [seen[4 * k][0] for k in range(3)]
+    assert len({id(table) for table in firsts}) == 3
+    for k, table in enumerate(firsts):
+        group = seen[4 * k:4 * k + 4]
+        assert all(got is table for got, _ in group)
+        assert group[0][1] == 0 and group[-1][1] > 0
+
+
+def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
+    # a serial run hands one table to every batch, whose terms only grow
+    # below the cap, and no table is left once the run returns or raises
+    seen = []
+    batch = cli._theorem_batch
+
+    def recording(seed, l, vectors, products):
+        out = batch(seed, l, vectors, products)
+        seen.append((products, products.terms))
         return out
 
     monkeypatch.setattr(cli, "_theorem_batch", recording)
@@ -606,20 +653,30 @@ def test_serial_run_shares_one_power_table_and_drops_it(monkeypatch):
     assert {rec["verdict"] for rec in report["checks"]} == {"PASS"}
     assert len(seen) == 2 * len(c.sequences)
     sizes = [size for _, size in seen]
-    assert all(table is cli._PRODUCTS for table, _ in seen)
+    assert all(table is seen[0][0] for table, _ in seen)
     assert sizes[0] and sizes == sorted(sizes)      # kept from batch to batch
-    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
+    assert sizes[-1] <= cli._PRODUCT_TERMS_CAP
 
-    def failing(seed, l, vectors):
-        recording(seed, l, vectors)
+    refs = []
+
+    def referencing(seed, l, vectors, products):
+        refs.append(weakref.ref(products))
+        return batch(seed, l, vectors, products)
+
+    def failing(seed, l, vectors, products):
+        referencing(seed, l, vectors, products)
         raise RuntimeError("batch failed")
 
+    monkeypatch.setattr(cli, "_theorem_batch", referencing)
+    run(c)
+    gc.collect()
+    assert len(refs) == len(seen) and all(ref() is None for ref in refs)
+    refs.clear()
     monkeypatch.setattr(cli, "_theorem_batch", failing)
-    seen.clear()
     with pytest.raises(RuntimeError, match="batch failed"):
         run(c)
-    assert seen and seen[0][1]
-    assert cli._PRODUCTS == {} and cli._PRODUCTS.terms == 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_power_table_emptied_past_its_cap(monkeypatch):
@@ -935,8 +992,8 @@ def _run_batches(doc) -> list:
         return []
     batches = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_theorem_batch",
-                      lambda *args: batches.append(args) or CheckOutcome(True, 0))
+        patch.setattr(cli, "_theorem_batch", lambda seed, l, vectors, products:
+                      batches.append((seed, l, vectors)) or CheckOutcome(True, 0))
         run(Campaign.from_dict({**doc, "checks": ["THEOREM"]}))
     return batches
 
@@ -1068,18 +1125,19 @@ def test_traced_products_built_once(monkeypatch):
     setitem = ProductTable.__setitem__
 
     def recording(table, key, value):
-        built.append((key, value))
+        built.append((table, key, value))
         setitem(table, key, value)
 
     monkeypatch.setattr(ProductTable, "__setitem__", recording)
     records = run(Campaign.from_dict(TRACED))["checks"]
     assert {rec["verdict"] for rec in records} == {"PASS"}
-    exponents = [next(iter(value.terms)) for _, value in built if len(value.terms) == 1]
+    exponents = [next(iter(value.terms)) for _, _, value in built if len(value.terms) == 1]
     tails = [b for b in exponents if any(b) and not any(b[:3])]
     assert tails and len(tails) < len(built)
-    keys = [key for key, _ in built]
+    keys = [key for _, key, _ in built]
     assert len(keys) == len(set(keys))
-    assert cli._PRODUCTS == {}
+    # the serial run's one group fills one table
+    assert all(table is built[0][0] for table, _, _ in built)
 
 
 def test_traced_fallback_is_the_zero_vector(monkeypatch):

@@ -176,6 +176,30 @@ def test_grading_scales_by_l():
     assert weights(fr_star(f)) == scaled
 
 
+def test_random_torus_element_is_the_sum_of_its_draws():
+    # one term dict summed over the draws, against one one-term element
+    # added per draw, on draws that repeat an exponent and cancel one
+    form = SkewForm([[0]])
+    repeats = cancels = 0
+    for ring in (PrimeField(3), PrimeField(5), CycloRing(3, Point.ONE), CycloRing(3, Point.EPS)):
+        for seed in range(50):
+            got = random_torus_element(random.Random(seed), ring, form, nterms=8)
+            rng = random.Random(seed)
+            want = TorusElement.zero(ring, form)
+            for _ in range(8):
+                a = (rng.randint(-2, 2),)
+                if isinstance(ring, CycloRing):
+                    c = CycloInt(ring.l, [rng.randint(-4, 4) for _ in range(ring.l - 1)])
+                else:
+                    c = ring.from_laurent(IntLaurent.from_int(rng.randint(-4, 4)))
+                if c:
+                    repeats += a in want.terms
+                    want = want + TorusElement.monomial(ring, form, a, c)
+                    cancels += a not in want.terms
+            assert got == want and repr(got) == repr(want), (ring, seed)
+    assert repeats and cancels
+
+
 # -- characteristic p ------------------------------------------------------
 
 def test_modp_split_monomials():
@@ -191,8 +215,8 @@ def test_modp_split_monomials():
 def test_split_axioms_random():
     rng = random.Random(25)
     for p in (3, 5):
-        out = check_split_axioms(rand_skew(rng, 3), PrimeField(p), rng, trials=40)
-        assert out.passed, out.witness
+        out = check_split_axioms(3, PrimeField(p), rng, trials=40)
+        assert out.passed and out.checked == 81, out.witness
 
 
 def test_split_respects_frozen_divisor():
@@ -214,8 +238,7 @@ def test_split_respects_frozen_divisor():
 def test_reduction_commutes_on_a3_prefix():
     rng = random.Random(27)
     datum = cartan_preset("A3")
-    form = rand_skew(rng, 3)
-    out = reduction_commutes(datum, A3_WORD, form, PrimeField(3), rng, 25)
+    out = reduction_commutes(datum, A3_WORD, 3, PrimeField(3), rng, 25)
     assert out.passed and out.checked == 25
 
 
@@ -223,12 +246,10 @@ def test_reduction_commutes_validates_input():
     datum = cartan_preset("A3")
     rng = random.Random(0)
     with pytest.raises(ValueError, match="not reduced"):
-        reduction_commutes(datum, (0, 0, 1), SkewForm([[0]]), PrimeField(3), rng, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        reduction_commutes(datum, A3_WORD, SkewForm([]), PrimeField(3), rng, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        reduction_commutes(datum, A3_WORD, SkewForm([[0] * 7] * 7), PrimeField(3),
-                           rng, 1)
+        reduction_commutes(datum, (0, 0, 1), 1, PrimeField(3), rng, 1)
+    for prefix in (0, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            reduction_commutes(datum, A3_WORD, prefix, PrimeField(3), rng, 1)
 
 
 def test_embed_padded_guards():

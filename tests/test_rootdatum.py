@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcfrob.cluster import btilde_from_word, seed_from_word
 from qcfrob.rootdatum import (
     CartanData,
     RootVector,
@@ -13,6 +14,10 @@ from qcfrob.rootdatum import (
     frozen_split,
     is_reduced,
 )
+from qcfrob.uqn import (cell_minors, chain_minor_weight, check_frobenius_on_minor,
+                        check_minor_power, commutation_matrix, extremal_fword, quantum_minor)
+
+from _seeds import A2_WORD, cell_form
 
 A2 = cartan_preset("A2")
 A3 = cartan_preset("A3")
@@ -164,3 +169,33 @@ def test_word_letter_validation():
         frozen_split(A2, (-1,))
     with pytest.raises(ValueError, match="must be integers"):
         beta_sequence(A2, (0, 1.5))
+
+
+# Every public function that takes a word, each reading the A2 word
+# (0, 1, 0) into something comparable.
+WORD_READERS = {
+    "seed_from_word": lambda w: seed_from_word(A2, w, cell_form("A2", A2_WORD)),
+    "btilde_from_word": lambda w: btilde_from_word(A2, w),
+    "apply_word": lambda w: A2.apply_word(w, A2.fundamental(0)),
+    "extremal_fword": lambda w: extremal_fword(A2, A2.fundamental(0), w),
+    "quantum_minor": lambda w: quantum_minor(A2, A2.fundamental(0), w).values,
+    "cell_minors": lambda w: [minor.values for minor in cell_minors(A2, w)],
+    "chain_minor_weight": lambda w: chain_minor_weight(A2, w, 1),
+    "commutation_matrix": lambda w: commutation_matrix(A2, w),
+    "check_frobenius_on_minor": lambda w: check_frobenius_on_minor(A2, w, 1, 3),
+    "check_minor_power": lambda w: check_minor_power(A2, w, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_READERS))
+def test_words_are_read_as_letters(name):
+    # an integral float letter is that letter; a non-integral, negative or
+    # out-of-range one raises ValueError, not TypeError or IndexError, and a
+    # negative one does not index from the end
+    read = WORD_READERS[name]
+    assert read((0, 1.0, 0)) == read((0, 1, 0))
+    with pytest.raises(ValueError, match="entries must be integers"):
+        read((0, 1.5, 0))
+    for letter in (2, -1):
+        with pytest.raises(ValueError, match=f"letter {letter} outside"):
+            read((0, letter, 0))
